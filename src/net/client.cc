@@ -44,16 +44,32 @@ TeaClient::connect(const std::string &endpoint,
 }
 
 void
+TeaClient::sendFrame(MsgType type, const uint8_t *payload, size_t len)
+{
+    appendFrame(pending, type, payload, len);
+    if (pending.size() >= Wire::kReplayChunk)
+        flush();
+}
+
+void
 TeaClient::sendFrame(MsgType type, const PayloadWriter &w)
 {
-    std::vector<uint8_t> bytes;
-    appendFrame(bytes, type, w.out());
-    sock.sendAll(bytes.data(), bytes.size());
+    sendFrame(type, w.out().data(), w.out().size());
+}
+
+void
+TeaClient::flush()
+{
+    if (pending.empty())
+        return;
+    sock.sendAll(pending.data(), pending.size());
+    pending.clear();
 }
 
 Frame
 TeaClient::recvFrame()
 {
+    flush();
     Frame frame;
     uint8_t buf[64 * 1024];
     while (!decoder.poll(frame)) {
@@ -198,12 +214,11 @@ TeaClient::replay(const std::string &name, const uint8_t *log,
     // with no log bytes wasted on the wire.
     expect(MsgType::ReplayOk);
 
-    for (size_t off = 0; off < len; off += Wire::kReplayChunk) {
-        size_t n = std::min(Wire::kReplayChunk, len - off);
-        PayloadWriter chunk;
-        chunk.raw(log + off, n);
-        sendFrame(MsgType::ReplayChunk, chunk);
-    }
+    // The chunks and END queue up and leave with the read's flush (a
+    // full-size chunk flushes on its own): a small log is one write.
+    for (size_t off = 0; off < len; off += Wire::kReplayChunk)
+        sendFrame(MsgType::ReplayChunk, log + off,
+                  std::min(Wire::kReplayChunk, len - off));
     sendFrame(MsgType::ReplayEnd, PayloadWriter{});
 
     Frame result = expect(MsgType::ReplayResult);
@@ -241,15 +256,16 @@ TeaClient::recordBegin(const std::string &name, RemoteRecordOptions opt)
 void
 TeaClient::recordChunk(const BlockTransition *batch, size_t n)
 {
-    PayloadWriter chunk;
     std::vector<uint8_t> bytes;
     if (recV2)
         encodeWireChunk(bytes, batch, n);
     else
         for (size_t i = 0; i < n; ++i)
             encodeTransition(bytes, batch[i]);
-    chunk.raw(bytes.data(), bytes.size());
-    sendFrame(MsgType::RecordChunk, chunk);
+    sendFrame(MsgType::RecordChunk, bytes.data(), bytes.size());
+    // No reply follows a chunk, so no read would flush it: a live
+    // caller's batch must not sit here until the next one.
+    flush();
 }
 
 RemoteRecordResult
@@ -290,17 +306,12 @@ TeaClient::record(const std::string &name,
     for (size_t i = 0; i < trs.size(); ++i) {
         encodeTransition(bytes, trs[i]);
         if (bytes.size() >= Wire::kReplayChunk) {
-            PayloadWriter chunk;
-            chunk.raw(bytes.data(), bytes.size());
-            sendFrame(MsgType::RecordChunk, chunk);
+            sendFrame(MsgType::RecordChunk, bytes.data(), bytes.size());
             bytes.clear();
         }
     }
-    if (!bytes.empty()) {
-        PayloadWriter chunk;
-        chunk.raw(bytes.data(), bytes.size());
-        sendFrame(MsgType::RecordChunk, chunk);
-    }
+    if (!bytes.empty())
+        sendFrame(MsgType::RecordChunk, bytes.data(), bytes.size());
     return recordEnd();
 }
 

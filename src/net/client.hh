@@ -22,6 +22,13 @@
  * during, or after the result frame can simply be re-run from scratch
  * on a fresh connection.
  *
+ * Frames are corked: sendFrame() appends to one per-client output
+ * buffer, and one sendAll() flushes it before any read, at the end of
+ * recordChunk() (which reads nothing), and whenever it reaches
+ * Wire::kReplayChunk. A replay's CHUNK...END therefore leave in one
+ * write, so the server sees the whole tail of the request in one
+ * readiness event, and every send still goes through the FaultySocket.
+ *
  * The client is not thread-safe: one connection, one conversation.
  * Open more clients for parallelism — the loopback integration test
  * and bench/net_throughput run one client per thread.
@@ -220,7 +227,10 @@ class TeaClient
     void recordBegin(const std::string &name,
                      RemoteRecordOptions opt = {});
 
-    /** Stream one batch (no reply; errors surface at recordEnd). */
+    /**
+     * Stream one batch (no reply; errors surface at recordEnd). The
+     * batch is on the wire when this returns.
+     */
     void recordChunk(const BlockTransition *batch, size_t n);
 
     /** Finish the recording and fetch the RECORD_RESULT summary. */
@@ -253,8 +263,15 @@ class TeaClient
   private:
     explicit TeaClient(FaultySocket s) : sock(std::move(s)) {}
 
+    /** Queue one frame; flushes once the queue holds kReplayChunk. */
+    void sendFrame(MsgType type, const uint8_t *payload, size_t len);
     void sendFrame(MsgType type, const PayloadWriter &w);
-    /** Blocking read of the next frame. @throws FatalError on EOF. */
+    /** Write the queued frames with one sendAll(); no-op when empty. */
+    void flush();
+    /**
+     * Blocking read of the next frame; flushes first, so no request
+     * waits on bytes still queued here. @throws FatalError on EOF.
+     */
     Frame recvFrame();
     /**
      * recvFrame(), then unwrap: BUSY throws ServerBusy, ERROR throws
@@ -264,6 +281,7 @@ class TeaClient
     Frame expect(MsgType want);
 
     FaultySocket sock;
+    std::vector<uint8_t> pending; ///< frames queued for the next flush
     FrameDecoder decoder;
     bool recV2 = false; ///< server acknowledged v2 record chunks
 };

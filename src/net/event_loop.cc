@@ -712,6 +712,10 @@ EventLoop::completeConsume(Conn *c)
     c->lastActivityMs = now; // the server worked: that is activity
 
     if (!c->replies.empty()) {
+        // All of this consume's replies are queued together and flushed
+        // at once, as the blocking core sends them in one sendAll: the
+        // server half of the client's one-write-per-exchange rule
+        // (net/client.hh). Keep it the only write path for replies.
         uint64_t tReply = obs::monotonicNanos();
         if (!queueBytes(c, c->replies.data(), c->replies.size()))
             return; // hard cap tripped: connection gone

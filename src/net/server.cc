@@ -285,14 +285,17 @@ TeaServer::start()
         panic("tead server: started twice");
     startedAtMs.store(steadyMs());
     listener = Listener::open(Endpoint::parse(cfg.endpoint));
-    if (history_)
-        samplerThread_ = std::thread([this] { samplerLoop(); });
     if (cfg.core == ServerCore::EventLoop) {
         loop_ = std::make_unique<EventLoop>(*this);
         loop_->start();
-        return;
+    } else {
+        acceptThread = std::thread([this] { acceptLoop(); });
     }
-    acceptThread = std::thread([this] { acceptLoop(); });
+    // The sampler reads activeSessions(), hence loop_: it starts after
+    // the core, so the thread's creation orders that read after the
+    // assignment above.
+    if (history_)
+        samplerThread_ = std::thread([this] { samplerLoop(); });
 }
 
 size_t
@@ -497,6 +500,10 @@ TeaServer::serveConnection(Socket &sock, uint64_t connId,
             replies.clear();
             bool keep = session.consume(buf, n, replies);
             if (!replies.empty()) {
+                // Every reply this consume produced leaves in one send:
+                // the server half of the one-write-per-exchange rule
+                // the client's corking keeps (net/client.hh). Keep it
+                // the only write path for session replies.
                 uint64_t tReply = obs::monotonicNanos();
                 sock.sendAll(replies.data(), replies.size());
                 mBytesOut->inc(replies.size());

@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -93,6 +94,22 @@ unixAddr(const Endpoint &ep)
     return sa;
 }
 
+/**
+ * Turn Nagle off on a connected TCP socket. Every exchange in the wire
+ * protocol is write(s)-then-read; with Nagle on, a small final segment
+ * waits for the ACK of the previous one, which the peer delays by up
+ * to 40 ms, so each request would pay a kernel timer instead of its
+ * work. Unix sockets have no Nagle and are left alone.
+ * @return false when setsockopt fails (errno says why)
+ */
+bool
+setNoDelay(int fd)
+{
+    int one = 1;
+    return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                        sizeof(one)) == 0;
+}
+
 } // namespace
 
 // ------------------------------------------------------------------ Socket
@@ -144,7 +161,10 @@ Socket::connectTo(const Endpoint &ep)
     ::freeaddrinfo(res);
     if (fd < 0)
         fatal("connect '%s': %s", ep.str().c_str(), std::strerror(err));
-    return Socket(fd);
+    Socket sock(fd);
+    if (!setNoDelay(fd))
+        fatal("setsockopt(TCP_NODELAY): %s", std::strerror(errno));
+    return sock;
 }
 
 size_t
@@ -379,6 +399,10 @@ Listener::accept(Socket &out)
             return false;
         }
         out = Socket(cfd);
+        // A peer already gone fails setsockopt; the first recv reports
+        // it the ordinary way, so the accept itself still stands.
+        if (local_.kind == Endpoint::Kind::Tcp)
+            setNoDelay(cfd);
         return true;
     }
 }
@@ -395,6 +419,8 @@ Listener::acceptNb(Socket &out)
         int cfd = ::accept(fd_, nullptr, nullptr);
         if (cfd >= 0) {
             out = Socket(cfd);
+            if (local_.kind == Endpoint::Kind::Tcp)
+                setNoDelay(cfd); // failure: see accept()
             res.n = 1;
             return res;
         }

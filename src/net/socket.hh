@@ -9,6 +9,12 @@
  *                       read it back from Listener::local())
  *   unix:<path>         a Unix-domain stream socket
  *
+ * Every connected TCP socket, dialed or accepted, has TCP_NODELAY set:
+ * the protocol's exchanges are write-then-read, and Nagle plus the
+ * peer's delayed ACK would otherwise hold a request's last segment for
+ * up to 40 ms. Unix sockets have no Nagle and get no option. There is
+ * no switch to turn it off.
+ *
  * Two I/O surfaces share the fd:
  *
  * - the blocking calls (recvSome/sendAll/waitReadable) used by the
@@ -65,7 +71,10 @@ class Socket
     Socket(const Socket &) = delete;
     Socket &operator=(const Socket &) = delete;
 
-    /** Dial an endpoint. @throws FatalError when the connect fails. */
+    /**
+     * Dial an endpoint; a TCP socket comes back with TCP_NODELAY set.
+     * @throws FatalError when the connect fails
+     */
     static Socket connectTo(const Endpoint &ep);
 
     bool valid() const { return fd_ >= 0; }
@@ -151,14 +160,15 @@ class Listener
     static Listener open(const Endpoint &ep);
 
     /**
-     * Accept one connection.
+     * Accept one connection (with TCP_NODELAY set on a TCP endpoint).
      * @return false once the listener has been closed (the server's
      *         shutdown path); transient accept errors are retried
      */
     bool accept(Socket &out);
 
     /**
-     * One nonblocking accept attempt, for the event-loop core: the
+     * One nonblocking accept attempt, for the event-loop core (TCP
+     * connections get TCP_NODELAY, as in accept()): the
      * caller must have registered fd() with its poller and put the
      * listener in nonblocking mode via setNonBlocking(). Exactly one of
      * the IoResult cases holds: `n == 1` (a connection landed in `out`),

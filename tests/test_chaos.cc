@@ -23,6 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,12 +119,16 @@ class Chaos : public ::testing::Test
         delete tea;
     }
 
+    using KindCounts = std::array<uint64_t, kFaultKinds>;
+
     struct Outcome
     {
         bool ok = false;
         std::string error;
         RemoteReplayResult res;
         uint64_t injected = 0;
+        /** Per-kind injections, failed attempts included. */
+        KindCounts byKind{};
     };
 
     /** One full PUT + REPLAY attempt through a faulty client socket. */
@@ -130,31 +137,43 @@ class Chaos : public ::testing::Test
             uint64_t seed)
     {
         Outcome out;
+        std::optional<TeaClient> c;
         try {
-            TeaClient c = TeaClient::connect(ep, faults, seed);
-            c.putAutomaton("gzip", *teaBytes);
+            c.emplace(TeaClient::connect(ep, faults, seed));
+            c->putAutomaton("gzip", *teaBytes);
             RemoteReplayOptions opt;
             opt.wantProfile = true;
-            out.res = c.replay("gzip", *log, opt);
-            out.injected = c.faultsInjected();
+            out.res = c->replay("gzip", *log, opt);
+            out.injected = c->faultsInjected();
             out.ok = true;
         } catch (const FatalError &e) {
             // The clean-failure arm: exactly one typed error. Anything
             // else (PanicError, a crash, a hang) fails the suite.
             out.error = e.what();
         }
+        if (c)
+            for (size_t k = 0; k < kFaultKinds; ++k)
+                out.byKind[k] = c->faultsInjected(FaultKind(k));
         return out;
     }
 
-    /** Sweep `seeds` seeds; return how many attempts succeeded. */
+    /**
+     * Sweep `seeds` seeds; return how many attempts succeeded. When
+     * `kindsOut` is set it receives the per-kind injection totals over
+     * every attempt that got past the handshake.
+     */
     static size_t
     sweep(const std::string &ep, const FaultConfig &faults,
-          uint64_t seedBase, size_t seeds, uint64_t *injectedOut)
+          uint64_t seedBase, size_t seeds, uint64_t *injectedOut,
+          KindCounts *kindsOut = nullptr)
     {
         size_t succeeded = 0;
         uint64_t injected = 0;
+        KindCounts kinds{};
         for (size_t i = 0; i < seeds; ++i) {
             Outcome out = attempt(ep, faults, seedBase + i);
+            for (size_t k = 0; k < kFaultKinds; ++k)
+                kinds[k] += out.byKind[k];
             if (out.ok) {
                 ++succeeded;
                 injected += out.injected;
@@ -170,7 +189,24 @@ class Chaos : public ::testing::Test
         }
         if (injectedOut != nullptr)
             *injectedOut = injected;
+        if (kindsOut != nullptr)
+            *kindsOut = kinds;
         return succeeded;
+    }
+
+    /**
+     * Every configured kind fired at least once in the sweep. The
+     * client corks a request's frames into one send, so sends are few
+     * and each draws the send-side kinds once: a kind that stopped
+     * firing would leave its arm of the invariant untested.
+     */
+    static void
+    expectEachKindInjected(const KindCounts &kinds,
+                           std::initializer_list<FaultKind> want)
+    {
+        for (FaultKind k : want)
+            EXPECT_GT(kinds[static_cast<size_t>(k)], 0u)
+                << faultKindName(k) << " never injected";
     }
 
     static std::shared_ptr<const Tea> *tea;
@@ -220,9 +256,14 @@ TEST_P(ChaosCores, BenignFaultsNeverChangeAnyResult)
     faults.delayMaxMs = 1;
 
     uint64_t injected = 0;
-    size_t ok = sweep(server.endpoint(), faults, 1000, 80, &injected);
+    KindCounts kinds{};
+    size_t ok =
+        sweep(server.endpoint(), faults, 1000, 80, &injected, &kinds);
     EXPECT_EQ(ok, 80u);
     EXPECT_GT(injected, 0u);
+    expectEachKindInjected(kinds,
+                           {FaultKind::ShortRead, FaultKind::ShortWrite,
+                            FaultKind::Eintr, FaultKind::Delay});
     server.stop();
 }
 
@@ -239,7 +280,11 @@ TEST_P(ChaosCores, MixedFaultsFailCleanOrMatchExactly)
 
     // All-or-nothing is asserted inside sweep(); at these rates both
     // arms must be exercised — some attempts die, some survive.
-    size_t ok = sweep(server.endpoint(), faults, 2000, 80, nullptr);
+    KindCounts kinds{};
+    size_t ok = sweep(server.endpoint(), faults, 2000, 80, nullptr, &kinds);
+    expectEachKindInjected(kinds,
+                           {FaultKind::ShortRead, FaultKind::ShortWrite,
+                            FaultKind::Reset, FaultKind::Corrupt});
     EXPECT_GT(ok, 0u) << "every attempt died: rates too hot to test "
                          "the success arm";
     EXPECT_LT(ok, 80u) << "every attempt survived: rates too cold to "
@@ -257,7 +302,10 @@ TEST_P(ChaosCores, DestructiveFaultsAlwaysFailCleanly)
     faults.corrupt = 0.08;
     faults.shortRead = 0.2;
 
-    size_t ok = sweep(server.endpoint(), faults, 3000, 60, nullptr);
+    KindCounts kinds{};
+    size_t ok = sweep(server.endpoint(), faults, 3000, 60, nullptr, &kinds);
+    expectEachKindInjected(kinds, {FaultKind::ShortRead, FaultKind::Reset,
+                                   FaultKind::Corrupt});
     // Survivors are legitimate (the dice may miss every call); the
     // point is that the ~destroyed majority all failed cleanly, which
     // sweep() has already asserted per seed.

@@ -10,8 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "dbt/runtime.hh"
@@ -340,6 +346,41 @@ TEST(Frame, StatusCodecRoundTrips)
 
 // ------------------------------------------------------------ integration
 
+/** TCP_NODELAY as the kernel reports it; -1 when getsockopt fails. */
+int
+noDelayOf(const Socket &s)
+{
+    int v = 0;
+    socklen_t len = sizeof(v);
+    if (::getsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &v, &len) != 0)
+        return -1;
+    return v;
+}
+
+/**
+ * Accept one connection the way `core` does: the blocking core calls
+ * Listener::accept(), the event loop Listener::acceptNb() on a
+ * nonblocking listener after a readiness event.
+ */
+Socket
+acceptAs(ServerCore core, Listener &l)
+{
+    Socket out;
+    if (core == ServerCore::Blocking) {
+        EXPECT_TRUE(l.accept(out));
+        return out;
+    }
+    l.setNonBlocking(true);
+    for (int tries = 0; tries < 100; ++tries) {
+        pollfd pfd{l.fd(), POLLIN, 0};
+        ::poll(&pfd, 1, 50);
+        if (l.acceptNb(out).n == 1)
+            return out;
+    }
+    ADD_FAILURE() << "acceptNb never produced the connection";
+    return out;
+}
+
 class NetLoopback : public ::testing::Test
 {
   protected:
@@ -458,6 +499,71 @@ TEST_P(NetCores, FourConcurrentClientsMatchLocalBatchBitForBit)
     server.stop();
     EXPECT_EQ(server.sessionsServed(), static_cast<uint64_t>(kClients));
     EXPECT_EQ(server.busyRejected(), 0u);
+}
+
+TEST_P(NetCores, TcpSocketsSetNoDelayOnBothEnds)
+{
+    // The dialing side, against the core's own server.
+    ServerConfig cfg = baseConfig();
+    cfg.endpoint = "tcp:127.0.0.1:0";
+    cfg.workers = 1;
+    TeaServer server(cfg);
+    server.start();
+    Socket dialed = Socket::connectTo(Endpoint::parse(server.endpoint()));
+    EXPECT_EQ(noDelayOf(dialed), 1);
+    dialed.close();
+    server.stop();
+
+    // The accepting side, through the accept call this core uses.
+    Listener l = Listener::open(Endpoint::parse("tcp:127.0.0.1:0"));
+    Socket peer = Socket::connectTo(l.local());
+    Socket accepted = acceptAs(GetParam(), l);
+    ASSERT_TRUE(accepted.valid());
+    EXPECT_EQ(noDelayOf(accepted), 1);
+}
+
+TEST_P(NetCores, UnixSocketsGetNoTcpOption)
+{
+    std::string path = "/tmp/tead-nodelay-" + std::to_string(::getpid()) +
+                       (GetParam() == ServerCore::EventLoop ? "-el" : "-bl") +
+                       ".sock";
+    Listener l = Listener::open(Endpoint::parse("unix:" + path));
+    Socket peer = Socket::connectTo(l.local());
+    Socket accepted = acceptAs(GetParam(), l);
+    ASSERT_TRUE(accepted.valid());
+    // Neither end carries the TCP option (a Unix socket has none).
+    EXPECT_NE(noDelayOf(peer), 1);
+    EXPECT_NE(noDelayOf(accepted), 1);
+}
+
+/**
+ * The regression pin for the Nagle/delayed-ACK stall: with it, every
+ * request waited for Linux's delayed-ACK timer (40 ms minimum), so a
+ * median under half of that cannot be met by a stalled exchange.
+ */
+TEST_P(NetCores, RemoteReplayLatencyIsNotAKernelTimer)
+{
+    ServerConfig cfg = baseConfig();
+    cfg.endpoint = "tcp:127.0.0.1:0";
+    cfg.workers = 1;
+    TeaServer server(cfg);
+    server.start();
+    TeaClient client = TeaClient::connect(server.endpoint());
+    client.putAutomaton("gzip", *tea);
+
+    RemoteReplayOptions opt;
+    opt.wantProfile = true;
+    std::vector<double> ms;
+    for (int i = 0; i < 21; ++i) {
+        auto t0 = std::chrono::steady_clock::now();
+        client.replay("gzip", log, opt);
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+    std::nth_element(ms.begin(), ms.begin() + 10, ms.end());
+    EXPECT_LT(ms[10], 20.0) << "median REPLAY latency over loopback TCP";
+    server.stop();
 }
 
 TEST_P(NetCores, UnixSocketRoundTrip)

@@ -18,6 +18,7 @@
 #include "net/frame.hh"
 #include "net/session.hh"
 #include "rec/service.hh"
+#include "svc/replay_service.hh"
 #include "svc/tracelog.hh"
 #include "tea/builder.hh"
 #include "tea/serialize.hh"
@@ -462,6 +463,78 @@ TEST_P(CorruptRecordWire, TruncatedV2ChunkPayloadDrawsAnError)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptRecordWire,
                          ::testing::Values(17, 34, 51));
+
+TEST(NetFuzz, CoalescedChunkAndEndSplitAnywhereReplayBitIdentically)
+{
+    // The client corks a replay's CHUNK and END into one write
+    // (net/client.hh); TCP may still hand that write to the server in
+    // any two pieces. Split it at every byte offset: each split must
+    // replay exactly like the local kernel. A prefix of the gzip
+    // stream keeps the buffer small enough to visit every offset.
+    Workload w = Workloads::build("syn.gzip", InputSize::Test);
+    auto tea = std::make_shared<const Tea>(
+        buildTea(DbtRuntime(w.program).record("mret").traces));
+    std::vector<uint8_t> log;
+    TraceLogWriter writer(&log);
+    for (size_t i = 0; i < 600; ++i)
+        writer.append(fuzzStream()[i]);
+    writer.finish();
+    ReplayJob job;
+    job.tea = tea;
+    job.logBytes = &log;
+    StreamResult reference = runReplayJob(job, LookupConfig{});
+    ASSERT_TRUE(reference.ok());
+
+    std::vector<uint8_t> opening;
+    PayloadWriter hello;
+    hello.u32(Wire::kMagic);
+    hello.u32(Wire::kVersion);
+    appendFrame(opening, MsgType::Hello, hello.out());
+    PayloadWriter begin;
+    begin.str("gzip");
+    begin.u8(ReplayFlags::kProfile);
+    appendFrame(opening, MsgType::ReplayBegin, begin.out());
+
+    std::vector<uint8_t> corked;
+    appendFrame(corked, MsgType::ReplayChunk, log.data(), log.size());
+    appendFrame(corked, MsgType::ReplayEnd, nullptr, 0);
+
+    AutomatonRegistry registry;
+    registry.put("gzip", *tea);
+    for (size_t cut = 0; cut <= corked.size(); ++cut) {
+        Session session(registry);
+        std::vector<uint8_t> replies;
+        ASSERT_TRUE(session.consume(opening.data(), opening.size(),
+                                    replies));
+        if (cut > 0) {
+            ASSERT_TRUE(session.consume(corked.data(), cut, replies));
+        }
+        if (cut < corked.size()) {
+            ASSERT_TRUE(session.consume(corked.data() + cut,
+                                        corked.size() - cut, replies));
+        }
+
+        FrameDecoder dec;
+        dec.feed(replies.data(), replies.size());
+        Frame f;
+        ASSERT_TRUE(dec.poll(f));
+        ASSERT_EQ(f.type, MsgType::HelloOk);
+        ASSERT_TRUE(dec.poll(f));
+        ASSERT_EQ(f.type, MsgType::ReplayOk);
+        ASSERT_TRUE(dec.poll(f)) << "no result at cut " << cut;
+        ASSERT_EQ(f.type, MsgType::ReplayResult) << "cut " << cut;
+        EXPECT_FALSE(dec.poll(f));
+
+        PayloadReader r(f.payload);
+        ASSERT_EQ(decodeStats(r), reference.stats) << "cut " << cut;
+        ASSERT_EQ(r.u8(), 1u);
+        std::vector<uint64_t> counts(r.u32());
+        for (uint64_t &c : counts)
+            c = r.u64();
+        r.expectEnd();
+        ASSERT_EQ(counts, reference.execCounts) << "cut " << cut;
+    }
+}
 
 } // namespace
 } // namespace tea
