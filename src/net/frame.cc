@@ -1,33 +1,9 @@
 #include "net/frame.hh"
 
-#include <cstring>
-
 #include "util/crc32.hh"
 #include "util/logging.hh"
 
 namespace tea {
-
-namespace {
-
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint32_t
-getU32(const uint8_t *p)
-{
-    return static_cast<uint32_t>(p[0]) |
-           (static_cast<uint32_t>(p[1]) << 8) |
-           (static_cast<uint32_t>(p[2]) << 16) |
-           (static_cast<uint32_t>(p[3]) << 24);
-}
-
-} // namespace
 
 void
 appendFrame(std::vector<uint8_t> &out, MsgType type,
@@ -37,12 +13,12 @@ appendFrame(std::vector<uint8_t> &out, MsgType type,
         panic("frame payload of %zu bytes exceeds the %u cap", len,
               Wire::kMaxPayload);
     size_t start = out.size();
-    putU32(out, static_cast<uint32_t>(1 + len));
-    out.push_back(static_cast<uint8_t>(type));
+    PayloadWriter w(out);
+    w.u32(static_cast<uint32_t>(1 + len));
+    w.u8(static_cast<uint8_t>(type));
     if (len > 0)
-        out.insert(out.end(), payload, payload + len);
-    uint32_t crc = crc32(out.data() + start, out.size() - start);
-    putU32(out, crc);
+        w.raw(payload, len);
+    w.u32(crc32(out.data() + start, out.size() - start));
 }
 
 void
@@ -64,113 +40,30 @@ FrameDecoder::poll(Frame &out)
         fatal("frame decoder: stream already failed framing");
     if (buffered() < 4)
         return false;
-    const uint8_t *p = buf.data() + head;
-    uint32_t bodyLen = getU32(p);
+    const uint8_t *frame = buf.data() + head;
+    PayloadReader r(frame, buffered(), "frame");
+    uint32_t bodyLen = r.u32();
     if (bodyLen == 0 || bodyLen > Wire::kMaxPayload + 1) {
         poisoned = true;
         fatal("frame: bad body length %u", bodyLen);
     }
-    size_t total = 4 + static_cast<size_t>(bodyLen) + 4;
-    if (buffered() < total)
+    if (r.remaining() < static_cast<size_t>(bodyLen) + 4)
         return false;
-    uint32_t want = getU32(p + 4 + bodyLen);
-    uint32_t got = crc32(p, 4 + bodyLen);
+    const uint8_t *body = r.raw(bodyLen);
+    uint32_t want = r.u32();
+    uint32_t got = crc32(frame, 4 + bodyLen);
     if (want != got) {
         poisoned = true;
         fatal("frame: CRC mismatch (stored 0x%08x, computed 0x%08x)",
               want, got);
     }
-    out.type = static_cast<MsgType>(p[4]);
-    out.payload.assign(p + 5, p + 4 + bodyLen);
-    head += total;
+    out.type = static_cast<MsgType>(body[0]);
+    out.payload.assign(body + 1, body + bodyLen);
+    head += 4 + static_cast<size_t>(bodyLen) + 4;
     return true;
 }
 
 // --------------------------------------------------------- payload codecs
-
-void
-PayloadWriter::u32(uint32_t v)
-{
-    putU32(bytes, v);
-}
-
-void
-PayloadWriter::u64(uint64_t v)
-{
-    putU32(bytes, static_cast<uint32_t>(v));
-    putU32(bytes, static_cast<uint32_t>(v >> 32));
-}
-
-void
-PayloadWriter::str(const std::string &s)
-{
-    u32(static_cast<uint32_t>(s.size()));
-    bytes.insert(bytes.end(), s.begin(), s.end());
-}
-
-void
-PayloadWriter::raw(const uint8_t *data, size_t len)
-{
-    bytes.insert(bytes.end(), data, data + len);
-}
-
-const uint8_t *
-PayloadReader::need(size_t n)
-{
-    if (len - pos < n)
-        fatal("payload: truncated (need %zu bytes, have %zu)", n,
-              len - pos);
-    const uint8_t *p = data + pos;
-    pos += n;
-    return p;
-}
-
-uint8_t
-PayloadReader::u8()
-{
-    return *need(1);
-}
-
-uint32_t
-PayloadReader::u32()
-{
-    return getU32(need(4));
-}
-
-uint64_t
-PayloadReader::u64()
-{
-    uint64_t lo = u32();
-    uint64_t hi = u32();
-    return lo | (hi << 32);
-}
-
-std::string
-PayloadReader::str(size_t maxLen)
-{
-    uint32_t n = u32();
-    if (n > maxLen)
-        fatal("payload: string of %u bytes exceeds the %zu limit", n,
-              maxLen);
-    const uint8_t *p = need(n);
-    return std::string(reinterpret_cast<const char *>(p), n);
-}
-
-std::vector<uint8_t>
-PayloadReader::rest()
-{
-    const uint8_t *p = data + pos;
-    std::vector<uint8_t> out(p, p + remaining());
-    pos = len;
-    return out;
-}
-
-void
-PayloadReader::expectEnd() const
-{
-    if (pos != len)
-        fatal("payload: %zu trailing bytes", len - pos);
-}
 
 void
 encodeStats(PayloadWriter &w, const ReplayStats &st)

@@ -93,6 +93,7 @@
 #include <vector>
 
 #include "tea/replayer.hh"
+#include "util/bytes.hh"
 
 namespace tea {
 
@@ -233,57 +234,9 @@ class FrameDecoder
 };
 
 // --------------------------------------------------------- payload codecs
-
-/** Little-endian payload builder for frame payloads. */
-class PayloadWriter
-{
-  public:
-    void u8(uint8_t v) { bytes.push_back(v); }
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    /** u32 length + raw bytes. */
-    void str(const std::string &s);
-    /** Raw bytes, no length prefix (must be the payload's tail). */
-    void raw(const uint8_t *data, size_t len);
-
-    const std::vector<uint8_t> &out() const { return bytes; }
-
-  private:
-    std::vector<uint8_t> bytes;
-};
-
-/**
- * Little-endian payload parser. Underruns, over-long strings, and
- * trailing garbage (via expectEnd) throw FatalError, so a malformed
- * payload can never be partially applied.
- */
-class PayloadReader
-{
-  public:
-    explicit PayloadReader(const std::vector<uint8_t> &payload)
-        : data(payload.data()), len(payload.size())
-    {
-    }
-
-    uint8_t u8();
-    uint32_t u32();
-    uint64_t u64();
-    /** u32 length + bytes; @throws FatalError when longer than maxLen. */
-    std::string str(size_t maxLen);
-    /** Everything not yet consumed. */
-    std::vector<uint8_t> rest();
-
-    size_t remaining() const { return len - pos; }
-    /** @throws FatalError unless the payload was fully consumed. */
-    void expectEnd() const;
-
-  private:
-    const uint8_t *need(size_t n);
-
-    const uint8_t *data;
-    size_t len;
-    size_t pos = 0;
-};
+//
+// Payloads are built and parsed with PayloadWriter/PayloadReader
+// (util/bytes.hh), the codec every binary format shares.
 
 /** Encode ReplayStats as 11 u64 fields in declaration order. */
 void encodeStats(PayloadWriter &w, const ReplayStats &st);

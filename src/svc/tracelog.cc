@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "tea/compiled.hh"
+#include "util/bytes.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
 #include "util/mmap.hh"
@@ -15,51 +16,6 @@ namespace {
 
 /** File-write buffer: chunks accumulate here between write() calls. */
 constexpr size_t kWriteBuffer = 256 * 1024;
-
-void
-put32(std::vector<uint8_t> &out, uint32_t v)
-{
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void
-put64(std::vector<uint8_t> &out, uint64_t v)
-{
-    put32(out, static_cast<uint32_t>(v));
-    put32(out, static_cast<uint32_t>(v >> 32));
-}
-
-// putVar/zigzag/unzigzag live in util/varint.hh now, shared with the
-// metrics history ring's delta codec (obs/history.cc).
-
-uint8_t
-rd8(const uint8_t *data, size_t len, size_t &cursor)
-{
-    if (cursor >= len)
-        fatal("tracelog: truncated input");
-    return data[cursor++];
-}
-
-uint32_t
-rd32(const uint8_t *data, size_t len, size_t &cursor)
-{
-    uint32_t v = rd8(data, len, cursor);
-    v |= static_cast<uint32_t>(rd8(data, len, cursor)) << 8;
-    v |= static_cast<uint32_t>(rd8(data, len, cursor)) << 16;
-    v |= static_cast<uint32_t>(rd8(data, len, cursor)) << 24;
-    return v;
-}
-
-uint64_t
-rd64(const uint8_t *data, size_t len, size_t &cursor)
-{
-    uint64_t lo = rd32(data, len, cursor);
-    uint64_t hi = rd32(data, len, cursor);
-    return lo | (hi << 32);
-}
 
 /**
  * Force the per-record decoders into the chunk loop: at -O2 GCC
@@ -498,6 +454,105 @@ sameTransition(const BlockTransition &a, const BlockTransition &b)
            a.toStart == b.toStart;
 }
 
+// ---------------------------------------------------- chunk framing
+//
+// The container and the wire share one chunk frame:
+//
+//   u32 record count  [v2: u8 encoding]  u32 payload bytes  payload
+//   u32 CRC-32        ; v1: over the payload; v2: over head + payload
+//
+// These are the only places that build, parse, or validate it.
+
+/** v2 chunk head: u32 record count, u8 encoding, u32 payload bytes. */
+constexpr size_t kV2ChunkHead = 9;
+
+/**
+ * Read and check the container header; returns its version. Bad
+ * magic/version throws even in salvage mode: a log whose first eight
+ * bytes are wrong proves nothing, so there is no prefix to recover.
+ */
+uint32_t
+readContainerHeader(PayloadReader &r)
+{
+    if (r.u32() != TraceLogFormat::kMagic)
+        fatal("tracelog: bad magic");
+    uint32_t version = r.u32();
+    if (version != TraceLogFormat::kVersion &&
+        version != TraceLogFormat::kVersionV1)
+        fatal("tracelog: unsupported version");
+    return version;
+}
+
+/** Append one chunk frame around an encoded payload. */
+void
+appendChunkFrame(std::vector<uint8_t> &out, uint32_t version,
+                 ChunkEncoding enc, uint32_t records,
+                 const std::vector<uint8_t> &payload)
+{
+    size_t head = out.size();
+    PayloadWriter w(out);
+    w.u32(records);
+    if (version >= 2)
+        w.u8(static_cast<uint8_t>(enc));
+    w.u32(static_cast<uint32_t>(payload.size()));
+    w.raw(payload.data(), payload.size());
+    // v2 CRCs cover the chunk head too: a flipped encoding byte or
+    // record count must not pass as a valid chunk of another shape.
+    size_t covered = version >= 2 ? head : out.size() - payload.size();
+    w.u32(crc32(out.data() + covered, out.size() - covered));
+}
+
+/**
+ * Parse and validate the rest of one chunk frame whose non-zero
+ * record count the caller just read: the encoding, the record cap,
+ * the records-versus-bytes rule (every record costs at least one
+ * payload byte, or one bitset bit when elided), and the CRC. The
+ * payload itself is left to decodeChunk().
+ */
+TraceChunkView
+readChunkFrame(PayloadReader &r, uint32_t version, uint32_t records)
+{
+    TraceChunkView chunk;
+    chunk.records = records;
+    if (version >= 2) {
+        uint8_t e = r.u8();
+        if (e > static_cast<uint8_t>(ChunkEncoding::Elided))
+            fatal("tracelog: bad chunk encoding %u", e);
+        chunk.encoding = static_cast<ChunkEncoding>(e);
+        if (records > TraceLogFormat::kMaxChunkRecords)
+            fatal("tracelog: chunk record count %u exceeds limit %u",
+                  records, TraceLogFormat::kMaxChunkRecords);
+    }
+    chunk.size = r.u32();
+    if (chunk.size > r.remaining())
+        fatal("tracelog: truncated chunk payload");
+    size_t minBytes = chunk.encoding == ChunkEncoding::Elided
+                          ? (static_cast<size_t>(records) + 7) / 8
+                          : records;
+    if (minBytes > chunk.size)
+        fatal("tracelog: chunk record count %u exceeds payload bytes %zu",
+              records, chunk.size);
+    chunk.payload = r.raw(chunk.size);
+    const uint8_t *covered =
+        version >= 2 ? chunk.payload - kV2ChunkHead : chunk.payload;
+    if (crc32(covered, static_cast<size_t>(chunk.payload + chunk.size -
+                                           covered)) != r.u32())
+        fatal("tracelog: chunk CRC mismatch");
+    return chunk;
+}
+
+/** The trailer past its zero marker: the record total, then nothing. */
+void
+readTrailer(PayloadReader &r, uint64_t records)
+{
+    uint64_t expect = r.u64();
+    if (expect != records)
+        fatal("tracelog: trailer count %llu disagrees with %llu records",
+              static_cast<unsigned long long>(expect),
+              static_cast<unsigned long long>(records));
+    r.expectEnd();
+}
+
 } // namespace
 
 // ----------------------------------------------------- shared codec
@@ -642,49 +697,22 @@ encodeWireChunk(std::vector<uint8_t> &out, const BlockTransition *batch,
 {
     std::vector<uint8_t> payload;
     encodeChunkPayload(payload, ChunkEncoding::Delta, batch, n);
-    std::vector<uint8_t> head;
-    put32(head, static_cast<uint32_t>(n));
-    head.push_back(static_cast<uint8_t>(ChunkEncoding::Delta));
-    put32(head, static_cast<uint32_t>(payload.size()));
-    uint32_t crc = crc32Update(crc32(head.data(), head.size()),
-                               payload.data(), payload.size());
-    out.insert(out.end(), head.begin(), head.end());
-    out.insert(out.end(), payload.begin(), payload.end());
-    put32(out, crc);
+    appendChunkFrame(out, TraceLogFormat::kVersion, ChunkEncoding::Delta,
+                     static_cast<uint32_t>(n), payload);
 }
 
 std::vector<BlockTransition>
 decodeWireChunk(const uint8_t *data, size_t len)
 {
-    size_t cursor = 0;
-    uint32_t nrecords = rd32(data, len, cursor);
-    if (nrecords > TraceLogFormat::kMaxChunkRecords)
-        fatal("tracelog: chunk record count %u exceeds limit %u",
-              nrecords, TraceLogFormat::kMaxChunkRecords);
-    uint8_t enc = rd8(data, len, cursor);
-    if (enc > static_cast<uint8_t>(ChunkEncoding::Elided))
-        fatal("tracelog: bad chunk encoding %u", enc);
-    if (enc == static_cast<uint8_t>(ChunkEncoding::Elided))
+    PayloadReader r(data, len, "tracelog");
+    uint32_t records = r.u32();
+    TraceChunkView chunk =
+        readChunkFrame(r, TraceLogFormat::kVersion, records);
+    if (chunk.encoding == ChunkEncoding::Elided)
         fatal("tracelog: elided chunks are not valid on the wire");
-    uint32_t nbytes = rd32(data, len, cursor);
-    if (nbytes > len - cursor)
-        fatal("tracelog: truncated chunk payload");
-    if (nrecords > nbytes)
-        fatal("tracelog: chunk record count %u exceeds payload bytes %u",
-              nrecords, nbytes);
-    const uint8_t *payload = data + cursor;
-    size_t payloadEnd = cursor + nbytes;
-    size_t crcCursor = payloadEnd;
-    uint32_t stored = rd32(data, len, crcCursor);
-    if (crc32(data, payloadEnd) != stored)
-        fatal("tracelog: chunk CRC mismatch");
-    if (crcCursor != len)
-        fatal("tracelog: %zu trailing bytes", len - crcCursor);
+    r.expectEnd();
     std::vector<BlockTransition> out;
-    decodeChunk(TraceChunkView{nrecords,
-                               static_cast<ChunkEncoding>(enc), payload,
-                               nbytes},
-                nullptr, out);
+    decodeChunk(chunk, nullptr, out);
     return out;
 }
 
@@ -695,17 +723,7 @@ TraceLogWriter::TraceLogWriter(const std::string &file_path,
     : opts(std::move(options)), file(file_path, std::ios::binary),
       path(file_path)
 {
-    if (opts.version != TraceLogFormat::kVersion &&
-        opts.version != TraceLogFormat::kVersionV1)
-        fatal("tracelog: unsupported writer version %u", opts.version);
-    if (opts.elideWith && opts.version == TraceLogFormat::kVersionV1)
-        fatal("tracelog: elision needs container version 2");
-    if (!file)
-        fatal("cannot open '%s' for writing", path.c_str());
-    std::vector<uint8_t> header;
-    put32(header, TraceLogFormat::kMagic);
-    put32(header, opts.version);
-    emit(header.data(), header.size());
+    writeHeader();
 }
 
 TraceLogWriter::TraceLogWriter(std::vector<uint8_t> *sink,
@@ -713,15 +731,8 @@ TraceLogWriter::TraceLogWriter(std::vector<uint8_t> *sink,
     : opts(std::move(options)), mem(sink)
 {
     TEA_ASSERT(sink != nullptr, "tracelog: null memory sink");
-    if (opts.version != TraceLogFormat::kVersion &&
-        opts.version != TraceLogFormat::kVersionV1)
-        fatal("tracelog: unsupported writer version %u", opts.version);
-    if (opts.elideWith && opts.version == TraceLogFormat::kVersionV1)
-        fatal("tracelog: elision needs container version 2");
-    std::vector<uint8_t> header;
-    put32(header, TraceLogFormat::kMagic);
-    put32(header, opts.version);
-    emit(header.data(), header.size());
+    memBase = sink->size();
+    writeHeader();
 }
 
 TraceLogWriter::~TraceLogWriter()
@@ -735,14 +746,18 @@ TraceLogWriter::~TraceLogWriter()
 }
 
 void
-TraceLogWriter::emit(const uint8_t *data, size_t len)
+TraceLogWriter::writeHeader()
 {
-    flushed += len;
-    if (mem) {
-        mem->insert(mem->end(), data, data + len);
-        return;
-    }
-    obuf.insert(obuf.end(), data, data + len);
+    if (opts.version != TraceLogFormat::kVersion &&
+        opts.version != TraceLogFormat::kVersionV1)
+        fatal("tracelog: unsupported writer version %u", opts.version);
+    if (opts.elideWith && opts.version == TraceLogFormat::kVersionV1)
+        fatal("tracelog: elision needs container version 2");
+    if (!mem && !file)
+        fatal("cannot open '%s' for writing", path.c_str());
+    PayloadWriter w(out());
+    w.u32(TraceLogFormat::kMagic);
+    w.u32(opts.version);
 }
 
 void
@@ -756,6 +771,7 @@ TraceLogWriter::drainToFile(bool force)
                static_cast<std::streamsize>(obuf.size()));
     if (!file)
         fatal("error writing '%s'", path.c_str());
+    drained += obuf.size();
     obuf.clear();
 }
 
@@ -783,23 +799,8 @@ TraceLogWriter::flushChunk()
     scratch.clear();
     encodeChunkPayload(scratch, enc, pending.data(), pending.size(),
                        opts.elideWith.get());
-    std::vector<uint8_t> head;
-    put32(head, static_cast<uint32_t>(pending.size()));
-    if (opts.version >= 2)
-        head.push_back(static_cast<uint8_t>(enc));
-    put32(head, static_cast<uint32_t>(scratch.size()));
-    // v2 CRCs cover the chunk header too: a flipped encoding byte or
-    // record count must not pass as a valid chunk of another shape.
-    uint32_t crc =
-        opts.version >= 2
-            ? crc32Update(crc32(head.data(), head.size()),
-                          scratch.data(), scratch.size())
-            : crc32(scratch.data(), scratch.size());
-    emit(head.data(), head.size());
-    emit(scratch.data(), scratch.size());
-    std::vector<uint8_t> tail;
-    put32(tail, crc);
-    emit(tail.data(), tail.size());
+    appendChunkFrame(out(), opts.version, enc,
+                     static_cast<uint32_t>(pending.size()), scratch);
     pending.clear();
     drainToFile(false);
 }
@@ -810,10 +811,9 @@ TraceLogWriter::finish()
     if (finished)
         return;
     flushChunk();
-    std::vector<uint8_t> trailer;
-    put32(trailer, 0);
-    put64(trailer, total);
-    emit(trailer.data(), trailer.size());
+    PayloadWriter w(out());
+    w.u32(0);
+    w.u64(total);
     drainToFile(true);
     if (file.is_open()) {
         file.flush();
@@ -827,37 +827,16 @@ TraceLogWriter::finish()
 
 TraceLogReader::TraceLogReader(std::vector<uint8_t> bytes, Mode m,
                                const CompiledTea *ct)
-    : owned(std::move(bytes))
+    : owned(std::move(bytes)), in(owned.data(), owned.size(), "tracelog"),
+      automaton(ct), version_(readContainerHeader(in)), mode(m)
 {
-    data = owned.data();
-    len = owned.size();
-    automaton = ct;
-    mode = m;
-    readHeader();
 }
 
 TraceLogReader::TraceLogReader(const uint8_t *d, size_t n, Mode m,
                                const CompiledTea *ct)
+    : in(d, n, "tracelog"), automaton(ct),
+      version_(readContainerHeader(in)), mode(m)
 {
-    data = d;
-    len = n;
-    automaton = ct;
-    mode = m;
-    readHeader();
-}
-
-void
-TraceLogReader::readHeader()
-{
-    // Bad magic/version throws even in salvage mode: a log whose first
-    // eight bytes are wrong proves nothing, so there is no prefix to
-    // recover.
-    if (rd32(data, len, cursor) != TraceLogFormat::kMagic)
-        fatal("tracelog: bad magic");
-    version_ = rd32(data, len, cursor);
-    if (version_ != TraceLogFormat::kVersion &&
-        version_ != TraceLogFormat::kVersionV1)
-        fatal("tracelog: unsupported version");
 }
 
 TraceLogReader
@@ -876,7 +855,7 @@ void
 TraceLogReader::loadChunk()
 {
     if (mode == Mode::Salvage) {
-        size_t chunkStart = cursor;
+        size_t left = in.remaining();
         try {
             loadChunkStrict();
         } catch (const FatalError &e) {
@@ -888,7 +867,7 @@ TraceLogReader::loadChunk()
             done = true;
             torn_ = true;
             tornReason_ = e.what();
-            discarded = len - chunkStart;
+            discarded = left;
         }
         return;
     }
@@ -898,56 +877,19 @@ TraceLogReader::loadChunk()
 void
 TraceLogReader::loadChunkStrict()
 {
-    size_t headStart = cursor;
-    uint32_t nrecords = rd32(data, len, cursor);
-    if (nrecords == 0) {
-        // Trailer: the total must match what the chunks delivered and
-        // nothing may follow it.
-        uint64_t expect = rd64(data, len, cursor);
-        if (expect != decoded)
-            fatal("tracelog: trailer count %llu disagrees with %llu "
-                  "records decoded",
-                  static_cast<unsigned long long>(expect),
-                  static_cast<unsigned long long>(decoded));
-        if (cursor != len)
-            fatal("tracelog: %zu trailing bytes", len - cursor);
+    uint32_t records = in.u32();
+    if (records == 0) {
+        readTrailer(in, decoded);
         done = true;
         return;
     }
-    ChunkEncoding enc = ChunkEncoding::Raw;
-    if (version_ >= 2) {
-        uint8_t e = rd8(data, len, cursor);
-        if (e > static_cast<uint8_t>(ChunkEncoding::Elided))
-            fatal("tracelog: bad chunk encoding %u", e);
-        enc = static_cast<ChunkEncoding>(e);
-        if (nrecords > TraceLogFormat::kMaxChunkRecords)
-            fatal("tracelog: chunk record count %u exceeds limit %u",
-                  nrecords, TraceLogFormat::kMaxChunkRecords);
-    }
-    uint32_t nbytes = rd32(data, len, cursor);
-    if (nbytes > len - cursor)
-        fatal("tracelog: truncated chunk payload");
-    if (enc != ChunkEncoding::Elided && nrecords > nbytes)
-        fatal("tracelog: chunk record count %u exceeds payload bytes %u",
-              nrecords, nbytes);
-    const uint8_t *payload = data + cursor;
-    size_t payload_end = cursor + nbytes;
-    size_t crc_cursor = payload_end;
-    uint32_t stored = rd32(data, len, crc_cursor);
-    uint32_t actual =
-        version_ >= 2 ? crc32(data + headStart, payload_end - headStart)
-                      : crc32(payload, nbytes);
-    if (actual != stored)
-        fatal("tracelog: chunk CRC mismatch");
-
+    TraceChunkView view = readChunkFrame(in, version_, records);
     chunk.clear();
     // The whole CRC-validated chunk decodes through the batch kernel;
     // a record that would read past the payload fails as truncation
     // instead of bleeding into the CRC word.
-    decodeChunk(TraceChunkView{nrecords, enc, payload, nbytes},
-                automaton, chunk);
-    cursor = crc_cursor; // skip the (already verified) CRC word
-    decoded += nrecords;
+    decodeChunk(view, automaton, chunk);
+    decoded += records;
     chunkPos = 0;
 }
 
@@ -1001,53 +943,14 @@ inspectTraceLog(const uint8_t *data, size_t len)
 {
     TraceLogInfo info;
     info.fileBytes = len;
-    size_t cursor = 0;
-    if (rd32(data, len, cursor) != TraceLogFormat::kMagic)
-        fatal("tracelog: bad magic");
-    info.version = rd32(data, len, cursor);
-    if (info.version != TraceLogFormat::kVersion &&
-        info.version != TraceLogFormat::kVersionV1)
-        fatal("tracelog: unsupported version");
-    for (;;) {
-        size_t headStart = cursor;
-        uint32_t nrecords = rd32(data, len, cursor);
-        if (nrecords == 0) {
-            uint64_t expect = rd64(data, len, cursor);
-            if (expect != info.records)
-                fatal("tracelog: trailer count %llu disagrees with "
-                      "%llu records framed",
-                      static_cast<unsigned long long>(expect),
-                      static_cast<unsigned long long>(info.records));
-            if (cursor != len)
-                fatal("tracelog: %zu trailing bytes", len - cursor);
-            return info;
-        }
+    PayloadReader r(data, len, "tracelog");
+    info.version = readContainerHeader(r);
+    while (uint32_t records = r.u32()) {
+        TraceChunkView chunk = readChunkFrame(r, info.version, records);
         TraceLogChunkInfo ci;
-        ci.records = nrecords;
-        if (info.version >= 2) {
-            uint8_t e = rd8(data, len, cursor);
-            if (e > static_cast<uint8_t>(ChunkEncoding::Elided))
-                fatal("tracelog: bad chunk encoding %u", e);
-            ci.encoding = static_cast<ChunkEncoding>(e);
-            if (nrecords > TraceLogFormat::kMaxChunkRecords)
-                fatal("tracelog: chunk record count %u exceeds limit "
-                      "%u",
-                      nrecords, TraceLogFormat::kMaxChunkRecords);
-        }
-        uint32_t nbytes = rd32(data, len, cursor);
-        if (nbytes > len - cursor)
-            fatal("tracelog: truncated chunk payload");
-        ci.payloadBytes = nbytes;
-        const uint8_t *payload = data + cursor;
-        size_t payload_end = cursor + nbytes;
-        size_t crc_cursor = payload_end;
-        uint32_t stored = rd32(data, len, crc_cursor);
-        uint32_t actual = info.version >= 2
-                              ? crc32(data + headStart,
-                                      payload_end - headStart)
-                              : crc32(payload, nbytes);
-        if (actual != stored)
-            fatal("tracelog: chunk CRC mismatch");
+        ci.encoding = chunk.encoding;
+        ci.records = records;
+        ci.payloadBytes = static_cast<uint32_t>(chunk.size);
         switch (ci.encoding) {
         case ChunkEncoding::Raw:
             ++info.rawChunks;
@@ -1057,26 +960,25 @@ inspectTraceLog(const uint8_t *data, size_t len)
             break;
         case ChunkEncoding::Elided: {
             ++info.elidedChunks;
-            size_t nbits = (static_cast<size_t>(nrecords) + 7) / 8;
-            if (nbytes < nbits)
-                fatal("tracelog: truncated elision bitset");
+            size_t nbits = (static_cast<size_t>(records) + 7) / 8;
             for (size_t i = 0; i < nbits; ++i) {
-                uint8_t byte = payload[i];
-                if (i == nbits - 1 && (nrecords & 7) != 0)
+                uint8_t byte = chunk.payload[i];
+                if (i == nbits - 1 && (records & 7) != 0)
                     byte &= static_cast<uint8_t>(
-                        (1u << (nrecords & 7)) - 1);
+                        (1u << (records & 7)) - 1);
                 ci.elidedRecords +=
                     static_cast<uint32_t>(__builtin_popcount(byte));
             }
             break;
         }
         }
-        info.records += nrecords;
-        info.payloadBytes += nbytes;
+        info.records += records;
+        info.payloadBytes += chunk.size;
         info.elidedRecords += ci.elidedRecords;
         info.chunks.push_back(ci);
-        cursor = crc_cursor;
     }
+    readTrailer(r, info.records);
+    return info;
 }
 
 } // namespace tea

@@ -55,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bytes.hh"
 #include "vm/block.hh"
 
 namespace tea {
@@ -225,25 +226,32 @@ class TraceLogWriter
      * benches and rec.* metrics report bytes without stat-ing the
      * file; bytes still in the write buffer are included.
      */
-    uint64_t flushedBytes() const { return flushed; }
+    uint64_t flushedBytes() const
+    {
+        return mem ? mem->size() - memBase : drained + obuf.size();
+    }
 
     /** The container version being written (1 or 2). */
     uint32_t version() const { return opts.version; }
 
   private:
-    void emit(const uint8_t *data, size_t len);
+    /** Validate the options and write the container header. */
+    void writeHeader();
     void flushChunk();
     void drainToFile(bool force);
+    /** Where encoded bytes go: the memory sink or the file buffer. */
+    std::vector<uint8_t> &out() { return mem ? *mem : obuf; }
 
     TraceLogOptions opts;
     std::ofstream file;
     std::vector<uint8_t> *mem = nullptr;
+    size_t memBase = 0; ///< sink bytes that predate this log
     std::string path; ///< for error messages; empty for memory sinks
     std::vector<BlockTransition> pending; ///< open chunk's records
     std::vector<uint8_t> obuf;    ///< buffered file bytes
     std::vector<uint8_t> scratch; ///< encoded-chunk staging
     uint64_t total = 0;
-    uint64_t flushed = 0;
+    uint64_t drained = 0; ///< bytes already written to the file
     bool finished = false;
 };
 
@@ -335,17 +343,14 @@ class TraceLogReader
     uint64_t bytesDiscarded() const { return discarded; }
 
   private:
-    void readHeader();
     void loadChunk();
     void loadChunkStrict();
 
     std::vector<uint8_t> owned; ///< backing store for the owning ctor
     std::shared_ptr<const MappedFile> map; ///< backing store, openFile
-    const uint8_t *data = nullptr;
-    size_t len = 0;
+    PayloadReader in{nullptr, 0, "tracelog"}; ///< over the log bytes
     const CompiledTea *automaton = nullptr;
     uint32_t version_ = 0;
-    size_t cursor = 0;
     std::vector<BlockTransition> chunk; ///< decoded records of one chunk
     size_t chunkPos = 0;
     uint64_t surfaced = 0; ///< records returned by next()
@@ -392,8 +397,9 @@ struct TraceLogInfo
  * Walk a log's framing — header, every chunk header and CRC, trailer —
  * without decoding records (so no automaton is needed, even for
  * elided chunks: their bitset is counted, not replayed). Strict:
- * @throws FatalError on any framing or CRC defect. `teadbt log-info`
- * is built on this.
+ * @throws FatalError on any framing or CRC defect — it validates
+ * chunk frames with the same parser as TraceLogReader, so the two
+ * reject the same framing. `teadbt log-info` is built on this.
  */
 TraceLogInfo inspectTraceLog(const uint8_t *data, size_t len);
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "util/bytes.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -11,77 +12,6 @@ namespace {
 
 constexpr uint32_t kMagic = 0x54454141; // "TEAA"
 constexpr uint32_t kVersion = 2;
-
-void
-put8(std::vector<uint8_t> &out, uint8_t v)
-{
-    out.push_back(v);
-}
-
-void
-put16(std::vector<uint8_t> &out, uint16_t v)
-{
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void
-put32(std::vector<uint8_t> &out, uint32_t v)
-{
-    put16(out, static_cast<uint16_t>(v));
-    put16(out, static_cast<uint16_t>(v >> 16));
-}
-
-/** LEB128 (7 bits per byte, high bit = continue). */
-void
-putVar(std::vector<uint8_t> &out, uint32_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<uint8_t>(v));
-}
-
-uint8_t
-get8(const std::vector<uint8_t> &bytes, size_t &cursor)
-{
-    if (cursor >= bytes.size())
-        fatal("tea: truncated input");
-    return bytes[cursor++];
-}
-
-uint16_t
-get16(const std::vector<uint8_t> &bytes, size_t &cursor)
-{
-    uint16_t lo = get8(bytes, cursor);
-    uint16_t hi = get8(bytes, cursor);
-    return static_cast<uint16_t>(lo | (hi << 8));
-}
-
-uint32_t
-get32(const std::vector<uint8_t> &bytes, size_t &cursor)
-{
-    uint32_t lo = get16(bytes, cursor);
-    uint32_t hi = get16(bytes, cursor);
-    return lo | (hi << 16);
-}
-
-uint32_t
-getVar(const std::vector<uint8_t> &bytes, size_t &cursor)
-{
-    uint32_t v = 0;
-    int shift = 0;
-    for (;;) {
-        uint8_t byte = get8(bytes, cursor);
-        v |= static_cast<uint32_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return v;
-        shift += 7;
-        if (shift > 28)
-            fatal("tea: varint too long");
-    }
-}
 
 } // namespace
 
@@ -102,26 +32,27 @@ saveTea(const Tea &tea)
     }
 
     std::vector<uint8_t> out;
-    put32(out, kMagic);
-    put32(out, kVersion);
-    put32(out, static_cast<uint32_t>(n));
-    put32(out, static_cast<uint32_t>(blocks_per_trace.size()));
+    PayloadWriter w(out);
+    w.u32(kMagic);
+    w.u32(kVersion);
+    w.u32(static_cast<uint32_t>(n));
+    w.u32(static_cast<uint32_t>(blocks_per_trace.size()));
     for (uint32_t count : blocks_per_trace)
-        putVar(out, count);
+        w.var(count);
 
     bool wide_ids = n >= 0xffff;
-    put8(out, wide_ids ? 1 : 0);
+    w.u8(wide_ids ? 1 : 0);
     for (size_t i = 1; i <= n; ++i) {
         const TeaState &s = tea.state(static_cast<StateId>(i));
-        put32(out, s.start);
-        putVar(out, s.end - s.start);
-        put8(out, s.loopHeader ? 1 : 0);
-        putVar(out, static_cast<uint32_t>(s.succs.size()));
+        w.u32(s.start);
+        w.var(s.end - s.start);
+        w.u8(s.loopHeader ? 1 : 0);
+        w.var(s.succs.size());
         for (StateId t : s.succs) {
             if (wide_ids)
-                put32(out, t);
+                w.u32(t);
             else
-                put16(out, static_cast<uint16_t>(t));
+                w.u16(static_cast<uint16_t>(t));
         }
     }
     return out;
@@ -130,13 +61,13 @@ saveTea(const Tea &tea)
 Tea
 loadTea(const std::vector<uint8_t> &bytes)
 {
-    size_t cursor = 0;
-    if (get32(bytes, cursor) != kMagic)
+    PayloadReader r(bytes, "tea");
+    if (r.u32() != kMagic)
         fatal("tea: bad magic");
-    if (get32(bytes, cursor) != kVersion)
+    if (r.u32() != kVersion)
         fatal("tea: unsupported version");
-    uint32_t nstates = get32(bytes, cursor);
-    uint32_t ntraces = get32(bytes, cursor);
+    uint32_t nstates = r.u32();
+    uint32_t ntraces = r.u32();
 
     if (nstates > 100'000'000 || ntraces > nstates + 1)
         fatal("tea: implausible header (%u states, %u traces)", nstates,
@@ -144,7 +75,7 @@ loadTea(const std::vector<uint8_t> &bytes)
     std::vector<uint32_t> blocks_per_trace(ntraces);
     uint64_t total = 0;
     for (uint32_t i = 0; i < ntraces; ++i) {
-        blocks_per_trace[i] = getVar(bytes, cursor);
+        blocks_per_trace[i] = r.var32();
         if (blocks_per_trace[i] == 0)
             fatal("tea: trace %u has no blocks", i);
         total += blocks_per_trace[i];
@@ -162,7 +93,7 @@ loadTea(const std::vector<uint8_t> &bytes)
     std::vector<Pending> pending;
     pending.reserve(nstates);
 
-    bool wide_ids = get8(bytes, cursor) != 0;
+    bool wide_ids = r.u8() != 0;
     uint32_t trace = 0;
     uint32_t tbb = 0;
     for (uint32_t i = 0; i < nstates; ++i) {
@@ -172,13 +103,13 @@ loadTea(const std::vector<uint8_t> &bytes)
         }
         if (trace >= ntraces)
             fatal("tea: state outside any trace");
-        Addr start = get32(bytes, cursor);
-        uint32_t delta = getVar(bytes, cursor);
+        Addr start = r.u32();
+        uint32_t delta = r.var32();
         if (delta > 0xffffff)
             fatal("tea: implausible block length %u", delta);
         Addr end = start + delta;
-        bool loop_header = (get8(bytes, cursor) & 1) != 0;
-        uint32_t ntrans = getVar(bytes, cursor);
+        bool loop_header = (r.u8() & 1) != 0;
+        uint32_t ntrans = r.var32();
         if (ntrans > nstates)
             fatal("tea: state with %u transitions", ntrans);
         StateId id = tea.addState(trace, tbb, start, end, loop_header);
@@ -186,13 +117,11 @@ loadTea(const std::vector<uint8_t> &bytes)
         p.id = id;
         p.succs.reserve(ntrans);
         for (uint32_t j = 0; j < ntrans; ++j)
-            p.succs.push_back(wide_ids ? get32(bytes, cursor)
-                                       : get16(bytes, cursor));
+            p.succs.push_back(wide_ids ? r.u32() : r.u16());
         pending.push_back(std::move(p));
         ++tbb;
     }
-    if (cursor != bytes.size())
-        fatal("tea: %zu trailing bytes", bytes.size() - cursor);
+    r.expectEnd();
 
     for (const Pending &p : pending) {
         for (StateId t : p.succs) {

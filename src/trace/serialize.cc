@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/bytes.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -114,51 +115,26 @@ loadTracesText(const std::string &text)
     return set;
 }
 
-namespace {
-
-void
-put32(std::vector<uint8_t> &out, uint32_t v)
-{
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint32_t
-get32(const std::vector<uint8_t> &bytes, size_t &cursor)
-{
-    if (cursor + 4 > bytes.size())
-        fatal("traces: truncated binary input");
-    uint32_t v = static_cast<uint32_t>(bytes[cursor]) |
-                 (static_cast<uint32_t>(bytes[cursor + 1]) << 8) |
-                 (static_cast<uint32_t>(bytes[cursor + 2]) << 16) |
-                 (static_cast<uint32_t>(bytes[cursor + 3]) << 24);
-    cursor += 4;
-    return v;
-}
-
-} // namespace
-
 std::vector<uint8_t>
 saveTracesBinary(const TraceSet &traces)
 {
     std::vector<uint8_t> out;
-    put32(out, kBinMagic);
-    put32(out, kBinVersion);
-    put32(out, static_cast<uint32_t>(traces.size()));
+    PayloadWriter w(out);
+    w.u32(kBinMagic);
+    w.u32(kBinVersion);
+    w.u32(static_cast<uint32_t>(traces.size()));
     for (const Trace &t : traces.all()) {
-        put32(out, static_cast<uint32_t>(t.kind));
-        put32(out, static_cast<uint32_t>(t.blocks.size()));
-        put32(out, static_cast<uint32_t>(t.edges.size()));
+        w.u32(static_cast<uint32_t>(t.kind));
+        w.u32(static_cast<uint32_t>(t.blocks.size()));
+        w.u32(static_cast<uint32_t>(t.edges.size()));
         for (const TraceBasicBlock &b : t.blocks) {
-            put32(out, b.start);
-            put32(out, b.end);
-            put32(out, b.loopHeader ? 1 : 0);
+            w.u32(b.start);
+            w.u32(b.end);
+            w.u32(b.loopHeader ? 1 : 0);
         }
         for (const Trace::Edge &e : t.edges) {
-            put32(out, e.from);
-            put32(out, e.to);
+            w.u32(e.from);
+            w.u32(e.to);
         }
     }
     return out;
@@ -167,21 +143,21 @@ saveTracesBinary(const TraceSet &traces)
 TraceSet
 loadTracesBinary(const std::vector<uint8_t> &bytes)
 {
-    size_t cursor = 0;
-    if (get32(bytes, cursor) != kBinMagic)
+    PayloadReader r(bytes, "traces");
+    if (r.u32() != kBinMagic)
         fatal("traces: bad binary magic");
-    if (get32(bytes, cursor) != kBinVersion)
+    if (r.u32() != kBinVersion)
         fatal("traces: unsupported binary version");
-    uint32_t count = get32(bytes, cursor);
+    uint32_t count = r.u32();
     TraceSet set;
     for (uint32_t i = 0; i < count; ++i) {
         Trace t;
-        uint32_t kind = get32(bytes, cursor);
+        uint32_t kind = r.u32();
         if (kind > 3)
             fatal("traces: bad kind %u", kind);
         t.kind = static_cast<TraceKind>(kind);
-        uint32_t nblocks = get32(bytes, cursor);
-        uint32_t nedges = get32(bytes, cursor);
+        uint32_t nblocks = r.u32();
+        uint32_t nedges = r.u32();
         // Plausibility before reserving: each block/edge needs bytes.
         if (static_cast<uint64_t>(nblocks) * 12 > bytes.size() ||
             static_cast<uint64_t>(nedges) * 8 > bytes.size())
@@ -190,15 +166,15 @@ loadTracesBinary(const std::vector<uint8_t> &bytes)
         t.blocks.reserve(nblocks);
         for (uint32_t j = 0; j < nblocks; ++j) {
             TraceBasicBlock b;
-            b.start = get32(bytes, cursor);
-            b.end = get32(bytes, cursor);
-            b.loopHeader = get32(bytes, cursor) != 0;
+            b.start = r.u32();
+            b.end = r.u32();
+            b.loopHeader = r.u32() != 0;
             t.blocks.push_back(b);
         }
         t.edges.reserve(nedges);
         for (uint32_t j = 0; j < nedges; ++j) {
-            uint32_t from = get32(bytes, cursor);
-            uint32_t to = get32(bytes, cursor);
+            uint32_t from = r.u32();
+            uint32_t to = r.u32();
             t.edges.push_back({from, to});
         }
         set.add(std::move(t));

@@ -9,14 +9,25 @@
  *
  * The Session is a socket-free byte-stream machine precisely so these
  * tests can drive the whole server protocol in-process; the sanitize
- * CI job runs them under ASan/UBSan.
+ * CI job runs them under ASan/UBSan. The one parser that only exists
+ * on a live listener, the event loop's HTTP sniff, is fuzzed over
+ * loopback at the end of the file.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <chrono>
+#include <string>
+#include <thread>
+
 #include "dbt/runtime.hh"
+#include "net/client.hh"
 #include "net/frame.hh"
+#include "net/server.hh"
 #include "net/session.hh"
+#include "net/socket.hh"
 #include "rec/service.hh"
 #include "svc/replay_service.hh"
 #include "svc/tracelog.hh"
@@ -534,6 +545,162 @@ TEST(NetFuzz, CoalescedChunkAndEndSplitAnywhereReplayBitIdentically)
         r.expectEnd();
         ASSERT_EQ(counts, reference.execCounts) << "cut " << cut;
     }
+}
+
+// ------------------------------------------------------ HTTP sniff fuzz
+
+/** What one raw exchange on the wire listener came back with. */
+struct HttpExchange
+{
+    std::string bytes;   ///< everything read before the close
+    bool closed = false; ///< the server closed (EOF or reset) in time
+};
+
+/**
+ * Connect, write each piece as its own send (a short pause apart, so
+ * the loop reads them separately), half-close, and read until the
+ * server closes or 5 s pass.
+ */
+HttpExchange
+rawExchange(const std::string &endpoint,
+            const std::vector<std::string> &sends)
+{
+    HttpExchange out;
+    Socket s = Socket::connectTo(Endpoint::parse(endpoint));
+    try {
+        for (size_t i = 0; i < sends.size(); ++i) {
+            if (i > 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            s.sendAll(sends[i].data(), sends[i].size());
+        }
+        ::shutdown(s.fd(), SHUT_WR);
+        char buf[4096];
+        while (s.waitReadable(5000) == 1) {
+            size_t n = s.recvSome(buf, sizeof(buf));
+            if (n == 0) {
+                out.closed = true;
+                break;
+            }
+            out.bytes.append(buf, n);
+        }
+    } catch (const FatalError &) {
+        out.closed = true; // reset by the server: a close
+    }
+    return out;
+}
+
+/** The status code when `bytes` is exactly one complete response. */
+std::string
+oneResponseStatus(const std::string &bytes)
+{
+    size_t headEnd = bytes.find("\r\n\r\n");
+    size_t length = bytes.find("\r\nContent-Length: ");
+    if (bytes.rfind("HTTP/1.1 ", 0) != 0 || headEnd == std::string::npos ||
+        length == std::string::npos || length > headEnd)
+        return "";
+    size_t body = std::stoul(bytes.substr(length + 18));
+    if (bytes.size() != headEnd + 4 + body)
+        return "";
+    return bytes.substr(9, 3);
+}
+
+TEST(HttpFuzz, SniffAnswersOnceOrClosesAndTheWireStillReplays)
+{
+    Workload w = Workloads::build("syn.gzip", InputSize::Test);
+    auto tea = std::make_shared<const Tea>(
+        buildTea(DbtRuntime(w.program).record("mret").traces));
+    std::vector<uint8_t> log = recordLog(w.program);
+    ReplayJob job;
+    job.tea = tea;
+    job.logBytes = &log;
+    StreamResult reference = runReplayJob(job, LookupConfig{});
+    ASSERT_TRUE(reference.ok());
+
+    ServerConfig cfg;
+    cfg.core = ServerCore::EventLoop; // HTTP shares the loop listener
+    cfg.workers = 2;
+    TeaServer server(cfg);
+    server.start();
+    const std::string ep = server.endpoint();
+    {
+        TeaClient client = TeaClient::connect(ep);
+        client.putAutomaton("gzip", *tea);
+        client.close();
+    }
+
+    auto expectClose = [](const HttpExchange &x, const std::string &what) {
+        EXPECT_TRUE(x.closed) << what;
+        EXPECT_EQ(x.bytes, "") << what;
+    };
+    auto expectOne = [](const HttpExchange &x, const std::string &what) {
+        EXPECT_TRUE(x.closed) << what;
+        std::string status = oneResponseStatus(x.bytes);
+        EXPECT_NE(status, "") << what << ": " << x.bytes;
+        return status;
+    };
+
+    // Every truncation of a valid scrape: never an answer, always a
+    // close; the whole request gets exactly one.
+    const std::string req = "GET /metrics HTTP/1.1\r\nHost: tead\r\n\r\n";
+    for (size_t keep = 0; keep < req.size(); ++keep)
+        expectClose(rawExchange(ep, {req.substr(0, keep)}),
+                    "truncated at " + std::to_string(keep));
+    EXPECT_EQ(expectOne(rawExchange(ep, {req}), "whole"), "200");
+
+    // The "GET " sniff prefix split across 1-3 byte sends.
+    const std::vector<std::vector<size_t>> splits = {
+        {1, 1, 1, 1}, {1, 1, 2}, {1, 2, 1}, {2, 1, 1},
+        {2, 2},       {1, 3},    {3, 1}};
+    for (const auto &split : splits) {
+        std::vector<std::string> sends;
+        size_t at = 0;
+        for (size_t n : split) {
+            sends.push_back(req.substr(at, n));
+            at += n;
+        }
+        sends.push_back(req.substr(at));
+        EXPECT_EQ(expectOne(rawExchange(ep, sends), "split prefix"),
+                  "200");
+    }
+
+    // A header block past the 8 KiB request cap is cut, not served.
+    expectClose(rawExchange(ep, {"GET /metrics HTTP/1.1\r\nX-Pad: " +
+                                 std::string(9000, 'a') + "\r\n\r\n"}),
+                "oversize header block");
+
+    // A pipelined second request is ignored: one answer, to the first.
+    HttpExchange piped =
+        rawExchange(ep, {"GET /healthz HTTP/1.1\r\n\r\n" + req});
+    EXPECT_EQ(expectOne(piped, "pipelined"), "200");
+    EXPECT_EQ(piped.bytes.substr(piped.bytes.size() - 3), "ok\n");
+
+    // Binary garbage after "GET ": answered once if it completes a
+    // header block, closed otherwise.
+    Xorshift64Star rng(2718);
+    for (int round = 0; round < 32; ++round) {
+        std::string junk = "GET ";
+        size_t n = 1 + rng.nextBelow(256);
+        for (size_t i = 0; i < n; ++i)
+            junk.push_back(static_cast<char>(rng.next()));
+        if (round % 2 == 1)
+            junk += "\r\n\r\n";
+        std::string what = "garbage round " + std::to_string(round);
+        HttpExchange x = rawExchange(ep, {junk});
+        if (junk.find("\r\n\r\n") != std::string::npos)
+            expectOne(x, what);
+        else
+            expectClose(x, what);
+    }
+
+    // The listener still speaks frames, bit-identically.
+    TeaClient client = TeaClient::connect(ep);
+    RemoteReplayOptions opt;
+    opt.wantProfile = true;
+    RemoteReplayResult remote = client.replay("gzip", log, opt);
+    EXPECT_EQ(remote.stats, reference.stats);
+    EXPECT_EQ(remote.execCounts, reference.execCounts);
+    client.close();
+    server.stop();
 }
 
 } // namespace

@@ -93,6 +93,41 @@ TEST_P(CorruptTea, TruncationsAreFatal)
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptTea,
                          ::testing::Values(11, 22, 33, 44));
 
+/** A 1-state `.tea` image whose block-length varint is `blockLen`. */
+std::vector<uint8_t>
+oneStateTea(const std::vector<uint8_t> &blockLen)
+{
+    std::vector<uint8_t> img{
+        0x41, 0x41, 0x45, 0x54, // magic 'TEAA'
+        0x02, 0x00, 0x00, 0x00, // version 2
+        0x01, 0x00, 0x00, 0x00, // 1 state
+        0x01, 0x00, 0x00, 0x00, // 1 trace
+        0x01,                   // trace 0: 1 block
+        0x00,                   // narrow state ids
+        0x00, 0x10, 0x00, 0x00, // state 1 start 0x1000
+    };
+    for (uint8_t b : blockLen)
+        img.push_back(b);
+    img.push_back(0x00); // flags
+    img.push_back(0x00); // no transitions
+    return img;
+}
+
+TEST(TeaVarint, ValueBeyond32BitsIsFatal)
+{
+    // The canonical image loads: block length 5.
+    Tea ok = loadTea(oneStateTea({0x05}));
+    ASSERT_EQ(ok.numTbbStates(), 1u);
+    EXPECT_EQ(ok.state(1).end, 0x1005u);
+    // 2^32 + 5 in five bytes must be rejected, not truncated to 5.
+    EXPECT_THROW(loadTea(oneStateTea({0x85, 0x80, 0x80, 0x80, 0x10})),
+                 FatalError);
+    // Six bytes are over-long even when the value would fit.
+    EXPECT_THROW(
+        loadTea(oneStateTea({0x85, 0x80, 0x80, 0x80, 0x80, 0x00})),
+        FatalError);
+}
+
 class CorruptTraceText : public ::testing::TestWithParam<uint64_t>
 {
 };

@@ -17,6 +17,7 @@
 #include "svc/tracelog.hh"
 #include "tea/builder.hh"
 #include "tea/compiled.hh"
+#include "util/bytes.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -484,6 +485,120 @@ TEST(TraceLogElidedFuzz, BitsetFlipBehindAValidCrcIsStillFatal)
     bad[crcAt + 2] = static_cast<uint8_t>(crc >> 16);
     bad[crcAt + 3] = static_cast<uint8_t>(crc >> 24);
     EXPECT_THROW(drain(std::move(bad), s.automaton.get()), FatalError);
+}
+
+// ------------------------------------------- inspect/reader agreement
+
+/** Does inspectTraceLog() reject the log? */
+bool
+inspectThrows(const std::vector<uint8_t> &bytes)
+{
+    try {
+        inspectTraceLog(bytes.data(), bytes.size());
+        return false;
+    } catch (const FatalError &) {
+        return true;
+    }
+}
+
+/** Does a strict TraceLogReader drain reject the log? */
+bool
+drainThrows(const std::vector<uint8_t> &bytes,
+            const CompiledTea *automaton = nullptr)
+{
+    try {
+        drain(bytes, automaton);
+        return false;
+    } catch (const FatalError &) {
+        return true;
+    }
+}
+
+/**
+ * A v2 log whose one delta chunk claims 100 records in 10 payload
+ * bytes, with a valid CRC and a matching trailer: only the
+ * records-versus-bytes rule can reject it.
+ */
+std::vector<uint8_t>
+forgedOverfullChunk()
+{
+    PayloadWriter w;
+    w.u32(TraceLogFormat::kMagic);
+    w.u32(TraceLogFormat::kVersion);
+    size_t head = w.out().size();
+    w.u32(100);
+    w.u8(static_cast<uint8_t>(ChunkEncoding::Delta));
+    w.u32(10);
+    const uint8_t payload[10] = {};
+    w.raw(payload, sizeof payload);
+    w.u32(crc32(w.out().data() + head, w.out().size() - head));
+    w.u32(0);
+    w.u64(100);
+    return w.out();
+}
+
+TEST(TraceLogInspect, AgreesWithTheStrictReaderOnTheCorruptionCorpus)
+{
+    // inspectTraceLog and the reader share one chunk-frame parser, so
+    // they must reject exactly the same framing damage. (Payload
+    // semantics behind a valid CRC, like a forged elision bit, are the
+    // decode kernel's to reject; inspect does not decode records.)
+    size_t cases = 0;
+    auto agree = [&](const std::vector<uint8_t> &bytes,
+                     const CompiledTea *automaton, const char *what,
+                     size_t round) {
+        ++cases;
+        EXPECT_EQ(inspectThrows(bytes), drainThrows(bytes, automaton))
+            << what << " case " << round;
+    };
+
+    const auto forged = forgedOverfullChunk();
+    EXPECT_TRUE(drainThrows(forged));
+    agree(forged, nullptr, "forged overfull chunk", 0);
+
+    for (uint32_t version : kVersions) {
+        const auto good = sampleLog(300, version);
+        agree(good, nullptr, "intact", version);
+        for (size_t keep = 0; keep < good.size(); ++keep)
+            agree(std::vector<uint8_t>(
+                      good.begin(), good.begin() + static_cast<long>(keep)),
+                  nullptr, "truncation", keep);
+        auto trailer = good;
+        trailer[trailer.size() - 8] ^= 1;
+        agree(trailer, nullptr, "trailer count", version);
+        auto garbage = good;
+        garbage.push_back(0xab);
+        agree(garbage, nullptr, "trailing garbage", version);
+
+        const auto flipBase = sampleLog(200, version);
+        for (uint64_t seed : {101, 202, 303, 404}) {
+            Xorshift64Star rng(seed + version);
+            for (size_t round = 0; round < 200; ++round) {
+                auto bad = flipBase;
+                int flips = 1 + static_cast<int>(rng.nextBelow(3));
+                for (int f = 0; f < flips; ++f) {
+                    size_t pos = rng.nextBelow(bad.size());
+                    bad[pos] = static_cast<uint8_t>(rng.next());
+                }
+                agree(bad, nullptr, "byte flips", round);
+            }
+        }
+    }
+
+    const ElidedSample &s = elidedSample();
+    agree(s.bytes, s.automaton.get(), "intact elided", 0);
+    Xorshift64Star rng(77);
+    for (size_t round = 0; round < 300; ++round) {
+        auto bad = s.bytes;
+        if (rng.nextBool(0.4)) {
+            bad.resize(rng.nextBelow(bad.size()));
+        } else {
+            size_t pos = rng.nextBelow(bad.size());
+            bad[pos] = static_cast<uint8_t>(rng.next());
+        }
+        agree(bad, s.automaton.get(), "elided damage", round);
+    }
+    EXPECT_GT(cases, 5000u);
 }
 
 // ------------------------------------------------- batch decode kernel
