@@ -15,7 +15,6 @@
 #include <sys/eventfd.h>
 #endif
 
-#include "net/frame.hh"
 #include "net/server.hh"
 #include "net/session.hh"
 #include "obs/flightrec.hh"
@@ -259,11 +258,9 @@ WakeupFd::drain()
  * the fields a running consume task exclusively writes (see file
  * comment in event_loop.hh).
  */
-struct EventLoop::Conn
+struct EventLoop::Conn : ServerConn
 {
-    uint64_t id = 0;
     FaultySocket sock;
-    std::unique_ptr<Session> session; ///< null for BUSY-bounced conns
 
     // Write queue: one flat buffer consumed from wqOff. Compacted when
     // fully drained, so steady-state request/reply traffic never
@@ -277,8 +274,6 @@ struct EventLoop::Conn
     std::vector<uint8_t> rdbuf;
     std::vector<uint8_t> replies;
     bool taskKeep = true;
-    bool taskMid = false;
-    uint64_t taskCompleted = 0;
 
     bool processing = false; ///< consume task in flight
     bool stalled = false;    ///< reads paused by the high watermark
@@ -290,11 +285,7 @@ struct EventLoop::Conn
     bool wantOut = false;
 
     uint64_t lastActivityMs = 0; ///< feeds the idle clock
-    uint64_t requestStartMs = 0; ///< feeds the request clock
-    uint64_t requestStartNs = 0;
     uint64_t readyNs = 0; ///< read-to-dispatch stamp (Dispatch span)
-    bool midRequest = false;
-    uint64_t lastCompleted = 0;
 
     // HTTP exposition on the shared listener: the first bytes of every
     // connection are sniffed once; a `GET ` prefix switches the conn to
@@ -437,10 +428,8 @@ EventLoop::handleAccept()
 void
 EventLoop::admit(Socket sock)
 {
-    size_t depth = srv.pool.pending();
-    bool busy =
-        depth >= srv.cfg.maxQueue ||
-        (srv.cfg.maxSessions != 0 && live_.load() >= srv.cfg.maxSessions);
+    std::vector<uint8_t> busy;
+    bool admitted = srv.admit(busy);
 
     sock.setNonBlocking(true);
     auto conn = std::make_unique<Conn>();
@@ -453,23 +442,13 @@ EventLoop::admit(Socket sock)
     c->lastActivityMs = now;
     conns_.emplace(c->id, std::move(conn));
 
-    if (busy) {
-        // Backpressure at the door, exactly like the blocking core:
-        // one BUSY frame naming the queue depth and the cap, then
-        // close once it flushes. No Session is built, nothing of the
-        // client's is buffered.
+    if (!admitted) {
+        // Close once the BUSY frame flushes. No Session is built,
+        // nothing of the client's is buffered.
         c->busyReject = true;
         c->closing = true;
-        srv.rejected.fetch_add(1);
-        srv.mBusy->inc();
-        PayloadWriter w;
-        w.u32(static_cast<uint32_t>(std::min<size_t>(depth, UINT32_MAX)));
-        w.u32(static_cast<uint32_t>(
-            std::min<size_t>(srv.cfg.maxSessions, UINT32_MAX)));
-        std::vector<uint8_t> frame;
-        appendFrame(frame, MsgType::Busy, w.out());
         poller_->add(c->sock.fd(), /*in=*/false, /*out=*/false, c->id);
-        if (!queueBytes(c, frame.data(), frame.size()))
+        if (!queueBytes(c, busy.data(), busy.size()))
             return; // already destroyed (cap — cannot happen, frame is tiny)
         // A peer that never reads its BUSY must not leak the conn.
         wheel_.schedule(timerKey(c->id, kTimerDrain), now + 1000);
@@ -478,19 +457,10 @@ EventLoop::admit(Socket sock)
     }
 
     live_.fetch_add(1);
-    c->session = srv.makeSession(c->id);
+    srv.openConn(*c, obs::monotonicNanos());
     c->wantIn = true;
     poller_->add(c->sock.fd(), /*in=*/true, /*out=*/false, c->id);
     armIdle(c, now);
-
-    if (srv.svcObs_.spans != nullptr) {
-        obs::Span accept;
-        accept.conn = c->id;
-        accept.phase = obs::SpanPhase::Accept;
-        accept.startNs = obs::monotonicNanos();
-        accept.durNs = 0; // admission is immediate on the loop
-        srv.spans_.push(accept);
-    }
 }
 
 void
@@ -520,33 +490,25 @@ EventLoop::handleReadable(Conn *c)
     srv.mBytesIn->inc(res.n);
     uint64_t now = steadyMs();
     c->lastActivityMs = now;
+    const uint8_t *data = readScratch_.data();
+    size_t n = res.n;
+    std::vector<uint8_t> prefix;
     if (!c->protoKnown) {
-        if (!classifyProtocol(c, readScratch_.data(), res.n))
+        if (!classifyProtocol(c, data, n))
             return; // fewer than four bytes so far; keep buffering
         // The sniffed prefix is in httpBuf either way: an HTTP request
         // head, or wire-protocol bytes to replay into the frame path.
-        std::vector<uint8_t> prefix = std::move(c->httpBuf);
+        prefix = std::move(c->httpBuf);
         c->httpBuf = {};
-        if (c->isHttp) {
-            handleHttpBytes(c, prefix.data(), prefix.size());
-            return;
-        }
-        if (!c->midRequest) {
-            c->requestStartMs = now;
-            c->requestStartNs = obs::monotonicNanos();
-        }
-        dispatchConsume(c, prefix.data(), prefix.size());
-        return;
+        data = prefix.data();
+        n = prefix.size();
     }
     if (c->isHttp) {
-        handleHttpBytes(c, readScratch_.data(), res.n);
+        handleHttpBytes(c, data, n);
         return;
     }
-    if (!c->midRequest) {
-        c->requestStartMs = now;
-        c->requestStartNs = obs::monotonicNanos();
-    }
-    dispatchConsume(c, readScratch_.data(), res.n);
+    srv.noteBytes(*c, now);
+    dispatchConsume(c, data, n);
 }
 
 bool
@@ -653,14 +615,12 @@ EventLoop::dispatchConsume(Conn *c, const uint8_t *data, size_t n)
     updateInterest(c);
     c->readyNs = obs::monotonicNanos();
     srv.pool.submit([this, c] {
-        if (srv.svcObs_.spans != nullptr) {
-            obs::Span d;
-            d.conn = c->id;
-            d.phase = obs::SpanPhase::Dispatch;
-            d.startNs = c->readyNs;
-            d.durNs = obs::monotonicNanos() - c->readyNs;
-            srv.spans_.push(d);
-        }
+        obs::Span d;
+        d.conn = c->id;
+        d.phase = obs::SpanPhase::Dispatch;
+        d.startNs = c->readyNs;
+        d.durNs = obs::monotonicNanos() - c->readyNs;
+        srv.spans_.push(d);
         c->replies.clear();
         bool keep = false;
         try {
@@ -672,8 +632,6 @@ EventLoop::dispatchConsume(Conn *c, const uint8_t *data, size_t n)
             // not the server.
         }
         c->taskKeep = keep;
-        c->taskMid = c->session->midRequest();
-        c->taskCompleted = c->session->requestsCompleted();
         {
             std::lock_guard<std::mutex> lock(doneMu_);
             doneIds_.push_back(c->id);
@@ -722,56 +680,10 @@ EventLoop::completeConsume(Conn *c)
         flushWrites(c);
         if (conns_.count(id) == 0)
             return; // write side died during the flush
-        if (srv.svcObs_.spans != nullptr) {
-            obs::Span rep;
-            rep.conn = c->id;
-            rep.request = c->session->requestsBegun();
-            rep.phase = obs::SpanPhase::Reply;
-            rep.startNs = tReply;
-            rep.durNs = obs::monotonicNanos() - tReply;
-            srv.spans_.push(rep);
-        }
+        srv.noteReply(*c, tReply);
     }
 
-    if (c->taskCompleted != c->lastCompleted) {
-        // One or more requests finished in this consume: end-to-end
-        // latency, Request span, slow-request log — the same
-        // bookkeeping the blocking core does inline.
-        c->lastCompleted = c->taskCompleted;
-        uint64_t endNs = obs::monotonicNanos();
-        uint64_t durNs = endNs - c->requestStartNs;
-        double durMs = static_cast<double>(durNs) / 1e6;
-        srv.hRequestMs->observe(durMs);
-        if (srv.svcObs_.spans != nullptr) {
-            obs::Span req;
-            req.conn = c->id;
-            req.request = c->session->requestsBegun();
-            req.phase = obs::SpanPhase::Request;
-            req.startNs = c->requestStartNs;
-            req.durNs = durNs;
-            srv.spans_.push(req);
-        }
-        std::vector<obs::Span> phases = c->session->takeRequestSpans();
-        if (srv.cfg.slowRequestMs != 0 &&
-            durMs >= static_cast<double>(srv.cfg.slowRequestMs)) {
-            srv.mSlow->inc();
-            RateLimiter &limiter = sharedWarnLimiter();
-            if (limiter.allow()) {
-                limiter.suppressedAndReset();
-                std::string breakdown;
-                for (const obs::Span &s : phases)
-                    breakdown += strprintf(
-                        " %s=%.2fms", obs::spanPhaseName(s.phase),
-                        static_cast<double>(s.durNs) / 1e6);
-                warn("tead: slow request on conn %llu: %.1f ms "
-                     "(threshold %u ms)%s",
-                     static_cast<unsigned long long>(c->id), durMs,
-                     srv.cfg.slowRequestMs, breakdown.c_str());
-            }
-        }
-    }
-
-    c->midRequest = c->taskMid;
+    srv.noteConsumed(*c);
     armRequestDeadline(c);
 
     if (!c->taskKeep || draining_ || c->peerGone) {
@@ -804,16 +716,10 @@ EventLoop::queueBytes(Conn *c, const uint8_t *data, size_t len)
         // There is no way to tell it (the pipe is exactly what is
         // full), so: count, log rate-limited, close.
         srv.mLoopOverflow->inc();
-        srv.evicted.fetch_add(1);
-        srv.mEvictDeadline->inc();
-        RateLimiter &limiter = sharedWarnLimiter();
-        if (limiter.allow()) {
-            limiter.suppressedAndReset();
-            warn("tead: closing conn %llu: write queue over hard cap "
-                 "(%zu + %zu > %zu bytes)",
-                 static_cast<unsigned long long>(c->id), pending, len,
-                 srv.cfg.maxWriteQueueBytes);
-        }
+        warnLimited("tead: closing conn %llu: write queue over hard cap "
+                    "(%zu + %zu > %zu bytes)",
+                    static_cast<unsigned long long>(c->id), pending, len,
+                    srv.cfg.maxWriteQueueBytes);
         destroy(c);
         return false;
     }
@@ -891,23 +797,7 @@ EventLoop::handleWritable(Conn *c)
 void
 EventLoop::evict(Conn *c, const char *why, bool deadline)
 {
-    srv.evicted.fetch_add(1);
-    (deadline ? srv.mEvictDeadline : srv.mEvictIdle)->inc();
-    PayloadWriter w;
-    w.u8(1); // fatal: the connection closes after this frame
-    w.str(strprintf("connection evicted: %s", why));
-    std::vector<uint8_t> frame;
-    appendFrame(frame, MsgType::Error, w.out());
-    RateLimiter &limiter = sharedWarnLimiter();
-    if (limiter.allow()) {
-        uint64_t dropped = limiter.suppressedAndReset();
-        if (dropped > 0)
-            warn("tead: evicted connection (%s); %llu similar warnings "
-                 "suppressed",
-                 why, static_cast<unsigned long long>(dropped));
-        else
-            warn("tead: evicted connection (%s)", why);
-    }
+    std::vector<uint8_t> frame = srv.evict(why, deadline);
     c->closing = true;
     c->wantIn = false;
     updateInterest(c);
@@ -1012,8 +902,7 @@ EventLoop::destroy(Conn *c)
     srv.mLoopFaults->inc(c->sock.faultsInjected());
     if (!c->busyReject) {
         live_.fetch_sub(1);
-        srv.served.fetch_add(1);
-        srv.mSessions->inc();
+        srv.closeConn();
     }
     conns_.erase(c->id); // frees c
 }

@@ -7,12 +7,14 @@
  * on every live socket, so concurrency is capped at the worker count
  * and an idle or hostile connection holds a thread hostage. This core
  * inverts the ownership: the loop thread owns every socket, all
- * accept/read/write I/O, and the whole connection lifecycle; the
+ * accept/read/write I/O, and every connection's queues and timers; the
  * ThreadPool only ever runs Session::consume() — the CPU work — and
  * hands the result back through a completion queue drained on a wakeup
  * eventfd/pipe. Session itself needed no changes: it was always a
  * socket-free byte-stream state machine, which is exactly the shape a
- * readiness loop schedules.
+ * readiness loop schedules. What admission, eviction and request
+ * accounting decide is TeaServer's (net/server_conn.cc), shared with
+ * the blocking core; this core only carries the decisions out.
  *
  * Threading rules (the whole contract in four lines):
  *

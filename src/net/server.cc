@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "net/event_loop.hh"
-#include "net/frame.hh"
 #include "net/session.hh"
 #include "obs/flightrec.hh"
 #include "obs/openmetrics.hh"
@@ -326,36 +325,30 @@ TeaServer::port() const
     return listener.local().port;
 }
 
+// The blocking core. Every per-connection decision it makes is a
+// server_conn.cc method the event loop calls too.
+
+void
+TeaServer::sendBestEffort(Socket &sock, const std::vector<uint8_t> &frame)
+{
+    try {
+        sock.sendAll(frame.data(), frame.size());
+        mBytesOut->inc(frame.size());
+    } catch (const FatalError &) {
+        // The client vanished first; the frame's event still counts.
+    }
+}
+
 void
 TeaServer::acceptLoop()
 {
     Socket sock;
+    std::vector<uint8_t> busy;
     while (listener.accept(sock)) {
         if (stopping.load())
             break; // socket closes on loop exit
-        size_t depth = pool.pending();
-        if (depth >= cfg.maxQueue ||
-            (cfg.maxSessions != 0 &&
-             activeSessions() >= cfg.maxSessions)) {
-            // Backpressure: one BUSY frame, then close. Never queue
-            // beyond the bound, never buffer the client's bytes. The
-            // payload tells the client why (depth, cap) so its backoff
-            // can be smarter than a blind sleep.
-            rejected.fetch_add(1);
-            mBusy->inc();
-            PayloadWriter w;
-            w.u32(static_cast<uint32_t>(
-                std::min<size_t>(depth, UINT32_MAX)));
-            w.u32(static_cast<uint32_t>(
-                std::min<size_t>(cfg.maxSessions, UINT32_MAX)));
-            std::vector<uint8_t> busy;
-            appendFrame(busy, MsgType::Busy, w.out());
-            try {
-                sock.sendAll(busy.data(), busy.size());
-                mBytesOut->inc(busy.size());
-            } catch (const FatalError &) {
-                // The client vanished first; nothing to report.
-            }
+        if (!admit(busy)) {
+            sendBestEffort(sock, busy);
             sock.close();
             continue;
         }
@@ -376,90 +369,23 @@ TeaServer::acceptLoop()
 }
 
 void
-TeaServer::evictConnection(Socket &sock, const char *why, bool deadline)
-{
-    evicted.fetch_add(1);
-    (deadline ? mEvictDeadline : mEvictIdle)->inc();
-    PayloadWriter w;
-    w.u8(1); // fatal: the connection closes after this frame
-    w.str(strprintf("connection evicted: %s", why));
-    std::vector<uint8_t> frame;
-    appendFrame(frame, MsgType::Error, w.out());
-    try {
-        sock.sendAll(frame.data(), frame.size());
-        mBytesOut->inc(frame.size());
-    } catch (const FatalError &) {
-        // Socket already dead; the eviction still counts.
-    }
-    // Eviction warnings share the process-wide limiter with the pool's
-    // failure warnings and the slow-request log, so the *total* warn
-    // rate is bounded; drops surface as the log.suppressed metric.
-    RateLimiter &limiter = sharedWarnLimiter();
-    if (limiter.allow()) {
-        uint64_t dropped = limiter.suppressedAndReset();
-        if (dropped > 0)
-            warn("tead: evicted connection (%s); %llu similar warnings "
-                 "suppressed",
-                 why, static_cast<unsigned long long>(dropped));
-        else
-            warn("tead: evicted connection (%s)", why);
-    }
-}
-
-std::unique_ptr<Session>
-TeaServer::makeSession(uint64_t connId)
-{
-    auto session = std::make_unique<Session>(registry_, cfg.lookup);
-    session->setStore(store_.get());
-    session->setRecorder(recSvc_.get(), cfg.recordSwapInterval);
-    session->setStatusFn([this] {
-        ServerStatus st;
-        st.queueDepth = static_cast<uint32_t>(
-            std::min<size_t>(pool.pending(), UINT32_MAX));
-        st.activeSessions = static_cast<uint32_t>(
-            std::min<size_t>(activeSessions(), UINT32_MAX));
-        st.uptimeMs = uptimeMs();
-        return st;
-    });
-    session->setStatsFn(
-        [this](uint8_t format) { return statsPayload(format); });
-    SessionObs ob = svcObs_;
-    ob.conn = connId;
-    session->setObs(ob);
-    return session;
-}
-
-void
 TeaServer::serveConnection(Socket &sock, uint64_t connId,
                            uint64_t acceptNs)
 {
     try {
-        // The Accept span measures queue wait: accept() to worker
-        // pickup. Under load this is the first thing to grow.
-        obs::Span accept;
-        accept.conn = connId;
-        accept.phase = obs::SpanPhase::Accept;
-        accept.startNs = acceptNs;
-        accept.durNs = obs::monotonicNanos() - acceptNs;
-        spans_.push(accept);
-
-        std::unique_ptr<Session> sessionPtr = makeSession(connId);
-        Session &session = *sessionPtr;
+        ServerConn conn;
+        conn.id = connId;
+        openConn(conn, acceptNs);
 
         std::vector<uint8_t> replies;
         uint8_t buf[64 * 1024];
-        // Deadline bookkeeping. `lastByteMs` feeds the idle clock;
-        // `requestStartMs` is stamped at the first byte of a request
-        // and feeds the request clock while session.midRequest().
+        // `lastByteMs` feeds the idle clock; the request clock lives in
+        // `conn` and runs while conn.midRequest.
         uint64_t lastByteMs = steadyMs();
-        uint64_t requestStartMs = lastByteMs;
-        uint64_t requestStartNs = obs::monotonicNanos();
-        uint64_t lastCompleted = 0;
-        bool midRequest = false;
         for (;;) {
             int waitMs = -1;
             if (cfg.idleTimeoutMs != 0 ||
-                (cfg.requestDeadlineMs != 0 && midRequest)) {
+                (cfg.requestDeadlineMs != 0 && conn.midRequest)) {
                 uint64_t now = steadyMs();
                 int64_t budget = std::numeric_limits<int64_t>::max();
                 const char *why = nullptr;
@@ -469,9 +395,9 @@ TeaServer::serveConnection(Socket &sock, uint64_t connId,
                         lastByteMs + cfg.idleTimeoutMs - now);
                     why = "idle timeout";
                 }
-                if (cfg.requestDeadlineMs != 0 && midRequest) {
+                if (cfg.requestDeadlineMs != 0 && conn.midRequest) {
                     int64_t left = static_cast<int64_t>(
-                        requestStartMs + cfg.requestDeadlineMs - now);
+                        conn.requestStartMs + cfg.requestDeadlineMs - now);
                     if (left < budget) {
                         budget = left;
                         why = "request deadline exceeded";
@@ -479,7 +405,7 @@ TeaServer::serveConnection(Socket &sock, uint64_t connId,
                     }
                 }
                 if (budget <= 0) {
-                    evictConnection(sock, why, deadline);
+                    sendBestEffort(sock, evict(why, deadline));
                     break;
                 }
                 waitMs = static_cast<int>(std::min<int64_t>(
@@ -491,14 +417,10 @@ TeaServer::serveConnection(Socket &sock, uint64_t connId,
             if (n == 0)
                 break; // peer closed (or stop() shut our read down)
             mBytesIn->inc(n);
-            uint64_t now = steadyMs();
-            lastByteMs = now;
-            if (!midRequest) {
-                requestStartMs = now; // these bytes open a new request
-                requestStartNs = obs::monotonicNanos();
-            }
+            lastByteMs = steadyMs();
+            noteBytes(conn, lastByteMs);
             replies.clear();
-            bool keep = session.consume(buf, n, replies);
+            bool keep = conn.session->consume(buf, n, replies);
             if (!replies.empty()) {
                 // Every reply this consume produced leaves in one send:
                 // the server half of the one-write-per-exchange rule
@@ -507,64 +429,17 @@ TeaServer::serveConnection(Socket &sock, uint64_t connId,
                 uint64_t tReply = obs::monotonicNanos();
                 sock.sendAll(replies.data(), replies.size());
                 mBytesOut->inc(replies.size());
-                obs::Span rep;
-                rep.conn = connId;
-                rep.request = session.requestsBegun();
-                rep.phase = obs::SpanPhase::Reply;
-                rep.startNs = tReply;
-                rep.durNs = obs::monotonicNanos() - tReply;
-                spans_.push(rep);
+                noteReply(conn, tReply);
             }
-            uint64_t completed = session.requestsCompleted();
-            if (completed != lastCompleted) {
-                // One or more requests finished with these bytes:
-                // observe the end-to-end latency, stamp the Request
-                // span, and feed the slow-request log.
-                lastCompleted = completed;
-                uint64_t endNs = obs::monotonicNanos();
-                uint64_t durNs = endNs - requestStartNs;
-                double durMs = static_cast<double>(durNs) / 1e6;
-                hRequestMs->observe(durMs);
-                obs::Span req;
-                req.conn = connId;
-                req.request = session.requestsBegun();
-                req.phase = obs::SpanPhase::Request;
-                req.startNs = requestStartNs;
-                req.durNs = durNs;
-                spans_.push(req);
-                std::vector<obs::Span> phases =
-                    session.takeRequestSpans();
-                if (cfg.slowRequestMs != 0 &&
-                    durMs >= static_cast<double>(cfg.slowRequestMs)) {
-                    mSlow->inc();
-                    RateLimiter &limiter = sharedWarnLimiter();
-                    if (limiter.allow()) {
-                        limiter.suppressedAndReset();
-                        std::string breakdown;
-                        for (const obs::Span &s : phases)
-                            breakdown += strprintf(
-                                " %s=%.2fms", obs::spanPhaseName(s.phase),
-                                static_cast<double>(s.durNs) / 1e6);
-                        warn("tead: slow request on conn %llu: %.1f ms "
-                             "(threshold %u ms)%s",
-                             static_cast<unsigned long long>(connId),
-                             durMs, cfg.slowRequestMs,
-                             breakdown.c_str());
-                    }
-                }
-            }
+            noteConsumed(conn);
             if (!keep)
                 break;
-            midRequest = session.midRequest();
         }
-        served.fetch_add(1);
-        mSessions->inc();
     } catch (const FatalError &) {
         // Socket-level failure (peer reset mid-write): the session is
         // over either way; one broken client must not hurt the server.
-        served.fetch_add(1);
-        mSessions->inc();
     }
+    closeConn();
 }
 
 void

@@ -14,9 +14,14 @@
  * Two interchangeable connection engines (ServerConfig::core): the
  * thread-per-connection core documented below, and the epoll/poll
  * event-loop core (net/event_loop.hh) that owns every socket on one
- * thread and scales to tens of thousands of connections. Admission
- * (BUSY), deadlines, eviction, and graceful drain mean the same thing
- * on both; the differences are purely mechanical (who blocks where).
+ * thread and scales to tens of thousands of connections. TeaServer is
+ * the one home of every per-connection decision both make: admission
+ * and its BUSY frame, eviction (counters, fatal ERROR frame,
+ * rate-limited warning), the Accept/Reply/Request spans, the request
+ * clock, server.request_ms and the slow-request log, and the
+ * sessions-served count (net/server_conn.cc). Each core calls those
+ * private methods and keeps only its mechanics (who blocks where, how
+ * bytes are queued).
  *
  * Concurrency model of the blocking core — one accept thread, sessions
  * on a ThreadPool:
@@ -58,6 +63,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "net/fault.hh"
 #include "net/session.hh"
@@ -195,6 +201,23 @@ struct ServerConfig
     uint64_t loopFaultSeed = 1;
 };
 
+/**
+ * What TeaServer tracks for one admitted connection, whichever core
+ * drives it: the Session and the request clock. The core owns the
+ * struct; only TeaServer's lifecycle methods advance the clock.
+ */
+struct ServerConn
+{
+    uint64_t id = 0;
+    std::unique_ptr<Session> session; ///< null for BUSY-bounced conns
+    /** First byte of the open request (steady ms; deadline clock). */
+    uint64_t requestStartMs = 0;
+    uint64_t requestStartNs = 0; ///< same instant, for request_ms
+    /** Session::requestsCompleted() when last accounted. */
+    uint64_t lastCompleted = 0;
+    bool midRequest = false; ///< Session::midRequest() after last consume
+};
+
 class TeaServer
 {
   public:
@@ -243,10 +266,17 @@ class TeaServer
     uint64_t uptimeMs() const;
 
     // Counters for the CLI's exit report and the tests.
-    uint64_t sessionsServed() const { return served.load(); }
-    uint64_t busyRejected() const { return rejected.load(); }
-    /** Connections evicted by the idle or request deadline. */
-    uint64_t sessionsEvicted() const { return evicted.load(); }
+    uint64_t sessionsServed() const { return mSessions->value(); }
+    uint64_t busyRejected() const { return mBusy->value(); }
+    /**
+     * Connections evicted by the idle or request deadline, or closed
+     * for a write-queue overflow (event-loop core).
+     */
+    uint64_t sessionsEvicted() const
+    {
+        return mEvictIdle->value() + mEvictDeadline->value() +
+               mLoopOverflow->value();
+    }
     /** Requests that exceeded ServerConfig::slowRequestMs. */
     uint64_t slowRequests() const;
 
@@ -288,13 +318,44 @@ class TeaServer
   private:
     friend class EventLoop; ///< the loop core is an engine of this class
 
+    // The blocking core's mechanics.
     void acceptLoop();
     void serveConnection(Socket &sock, uint64_t connId,
                          uint64_t acceptNs);
-    /** Best-effort fatal ERROR + counters; the session ends after. */
-    void evictConnection(Socket &sock, const char *why, bool deadline);
-    /** A Session wired exactly like serveConnection()'s, for the loop. */
-    std::unique_ptr<Session> makeSession(uint64_t connId);
+    /** sendAll + bytes_out; a vanished peer is not an error here. */
+    void sendBestEffort(Socket &sock, const std::vector<uint8_t> &frame);
+
+    // The connection lifecycle, written once for both cores
+    // (net/server_conn.cc).
+
+    /**
+     * Admission control at accept: true when the connection may be
+     * served; else it is counted as rejected and `busy` holds the BUSY
+     * frame (queue depth, cap) to send before closing.
+     */
+    bool admit(std::vector<uint8_t> &busy);
+    /**
+     * Build the admitted connection's Session and push its Accept span
+     * (queue wait from acceptNs to now).
+     */
+    void openConn(ServerConn &conn, uint64_t acceptNs);
+    /** Bytes arrived for the session: start the request clock if idle. */
+    void noteBytes(ServerConn &conn, uint64_t nowMs);
+    /** A consume's replies were sent (or queued) starting at startNs. */
+    void noteReply(const ServerConn &conn, uint64_t startNs);
+    /**
+     * After a consume: if it completed requests, observe
+     * server.request_ms, push the Request span and feed the
+     * slow-request log; then advance the request clock.
+     */
+    void noteConsumed(ServerConn &conn);
+    /**
+     * Count an eviction, warn (rate-limited), and return the fatal
+     * ERROR frame the core sends best-effort before closing.
+     */
+    std::vector<uint8_t> evict(const char *why, bool deadline);
+    /** An admitted connection ended. */
+    void closeConn() { mSessions->inc(); }
 
     ServerConfig cfg;
     AutomatonRegistry registry_;
@@ -357,9 +418,6 @@ class TeaServer
     std::atomic<bool> started{false};
     std::atomic<bool> stopping{false};
     std::atomic<bool> stopped{false};
-    std::atomic<uint64_t> served{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> evicted{0};
     std::atomic<uint64_t> startedAtMs{0}; ///< steady clock, for uptime
 };
 

@@ -153,6 +153,24 @@ sharedWarnLimiter()
     return limiter;
 }
 
+bool
+warnLimited(const char *fmt, ...)
+{
+    RateLimiter &limiter = sharedWarnLimiter();
+    if (!limiter.allow())
+        return false;
+    uint64_t dropped = limiter.suppressedAndReset();
+    va_list ap;
+    va_start(ap, fmt);
+    std::string msg = vstrprintf(fmt, ap);
+    va_end(ap);
+    if (dropped > 0)
+        msg += strprintf("; %llu similar warnings suppressed",
+                         static_cast<unsigned long long>(dropped));
+    warn("%s", msg.c_str());
+    return true;
+}
+
 void
 panic(const char *fmt, ...)
 {

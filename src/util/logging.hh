@@ -141,6 +141,15 @@ class RateLimiter
  */
 RateLimiter &sharedWarnLimiter();
 
+/**
+ * warn() through sharedWarnLimiter(): dropped (and counted) when the
+ * bucket is empty; otherwise emitted with "; N similar warnings
+ * suppressed" appended when N warnings were dropped since the last one
+ * it let through. Every spammy warn path uses this, so no drop count is
+ * ever lost. Returns whether the warning was emitted.
+ */
+bool warnLimited(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
 /** assert-like helper that panics with a message when cond is false. */
 #define TEA_ASSERT(cond, ...)                                               \
     do {                                                                    \

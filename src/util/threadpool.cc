@@ -111,16 +111,8 @@ ThreadPool::workerLoop()
         double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - begin)
                         .count();
-        if (err && sharedWarnLimiter().allow()) {
-            uint64_t dropped = sharedWarnLimiter().suppressedAndReset();
-            if (dropped > 0)
-                warn("threadpool: task failed: %s (%llu similar warnings "
-                     "suppressed)",
-                     what.c_str(),
-                     static_cast<unsigned long long>(dropped));
-            else
-                warn("threadpool: task failed: %s", what.c_str());
-        }
+        if (err)
+            warnLimited("threadpool: task failed: %s", what.c_str());
         if (obs)
             obs(ms, err != nullptr);
         lock.lock();

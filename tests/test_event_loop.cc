@@ -304,6 +304,8 @@ TEST(EventLoopBackpressure, HardCapOverflowFatallyClosesTheConnection)
     } while (n != 0);
 
     EXPECT_GE(counterValue(server, "loop.wq_overflow"), 1u);
+    // No request deadline is configured: an overflow is not one.
+    EXPECT_EQ(counterValue(server, "server.evictions_deadline"), 0u);
     EXPECT_GE(server.sessionsEvicted(), 1u);
     server.stop();
     EXPECT_EQ(server.sessionsServed(), 1u);

@@ -14,12 +14,17 @@
  *   match the client-side tally bit-for-bit (the scripted-exchange
  *   acceptance criterion);
  * - the slow-request log fires for an injected-latency request and
- *   stays silent otherwise.
+ *   stays silent otherwise, and its first line after a flood reports
+ *   how many warnings the shared limiter suppressed.
+ *
+ * The loopback and slow-request cases run on both server cores.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -402,13 +407,41 @@ TEST(Stats, StatsBeforeHelloIsAProtocolViolation)
     EXPECT_FALSE(session.consume(wire.data(), wire.size(), out));
 }
 
-TEST(Stats, LoopbackSnapshotMatchesClientSideTally)
+/** A fixture run once per connection engine (see NetCores, test_net). */
+class CoreParam : public ::testing::TestWithParam<ServerCore>
+{
+  protected:
+    ServerConfig
+    baseConfig() const
+    {
+        ServerConfig cfg;
+        cfg.core = GetParam();
+        return cfg;
+    }
+};
+
+std::string
+coreName(const ::testing::TestParamInfo<ServerCore> &info)
+{
+    return info.param == ServerCore::Blocking ? "Blocking" : "EventLoop";
+}
+
+class StatsCores : public CoreParam
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(Cores, StatsCores,
+                         ::testing::Values(ServerCore::Blocking,
+                                           ServerCore::EventLoop),
+                         coreName);
+
+TEST_P(StatsCores, LoopbackSnapshotMatchesClientSideTally)
 {
     Workload wl = Workloads::build("syn.gzip", InputSize::Test);
     std::vector<uint8_t> log = recordLog(wl.program);
     Tea tea = recordTea(wl.program);
 
-    ServerConfig cfg;
+    ServerConfig cfg = baseConfig();
     cfg.workers = 2;
     TeaServer server(cfg);
     server.start();
@@ -459,7 +492,16 @@ TEST(Stats, LoopbackSnapshotMatchesClientSideTally)
 
 // ------------------------------------------------------------ slow requests
 
-TEST(SlowRequests, InjectedLatencyTripsTheLogAndCleanRunsStaySilent)
+class SlowRequests : public CoreParam
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(Cores, SlowRequests,
+                         ::testing::Values(ServerCore::Blocking,
+                                           ServerCore::EventLoop),
+                         coreName);
+
+TEST_P(SlowRequests, InjectedLatencyTripsTheLogAndCleanRunsStaySilent)
 {
     Workload wl = Workloads::build("syn.gzip", InputSize::Test);
     std::vector<uint8_t> log = recordLog(wl.program);
@@ -467,7 +509,7 @@ TEST(SlowRequests, InjectedLatencyTripsTheLogAndCleanRunsStaySilent)
 
     // Clean run first: a generous threshold must never fire.
     {
-        ServerConfig cfg;
+        ServerConfig cfg = baseConfig();
         cfg.workers = 1;
         cfg.slowRequestMs = 60000;
         TeaServer server(cfg);
@@ -484,7 +526,7 @@ TEST(SlowRequests, InjectedLatencyTripsTheLogAndCleanRunsStaySilent)
     // request (BEGIN through END, several sends) takes well over the
     // 1 ms threshold on the server's clock.
     {
-        ServerConfig cfg;
+        ServerConfig cfg = baseConfig();
         cfg.workers = 1;
         cfg.slowRequestMs = 1;
         TeaServer server(cfg);
@@ -509,6 +551,76 @@ TEST(SlowRequests, InjectedLatencyTripsTheLogAndCleanRunsStaySilent)
                       .counterValue("server.slow_requests"),
                   0u);
     }
+}
+
+std::mutex g_warnMu;
+std::vector<std::string> g_warnLines; ///< guarded by g_warnMu
+
+void
+captureWarn(const char *tag, const char *msg)
+{
+    if (std::string(tag) != "warn")
+        return;
+    std::lock_guard<std::mutex> lock(g_warnMu);
+    g_warnLines.emplace_back(msg);
+}
+
+TEST_P(SlowRequests, FirstLineAfterAFloodReportsTheSuppressedCount)
+{
+    Workload wl = Workloads::build("syn.gzip", InputSize::Test);
+    std::vector<uint8_t> log = recordLog(wl.program);
+    Tea tea = recordTea(wl.program);
+
+    // Empty the process-wide warn bucket, then have it deny a known
+    // number of warnings, as a flood on any warn path would.
+    RateLimiter &limiter = sharedWarnLimiter();
+    while (limiter.allow()) {
+    }
+    limiter.suppressedAndReset();
+    uint64_t denied = 0;
+    for (int i = 0; i < 4; ++i)
+        if (!limiter.allow())
+            ++denied;
+    ASSERT_GT(denied, 0u);
+    // 5 tokens/s: a quarter second refills at least one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    {
+        std::lock_guard<std::mutex> lock(g_warnMu);
+        g_warnLines.clear();
+    }
+    setLogSink(captureWarn);
+
+    ServerConfig cfg = baseConfig();
+    cfg.workers = 1;
+    cfg.slowRequestMs = 1;
+    TeaServer server(cfg);
+    server.start();
+    FaultConfig faults;
+    faults.delay = 1.0;
+    faults.delayMaxMs = 5;
+    TeaClient client =
+        TeaClient::connect(server.endpoint(), faults, /*seed=*/7);
+    client.putAutomaton("wl", tea);
+    client.replay("wl", log);
+    client.close();
+    server.stop();
+    setLogSink(nullptr);
+
+    ASSERT_GE(server.slowRequests(), 1u);
+    std::lock_guard<std::mutex> lock(g_warnMu);
+    ASSERT_FALSE(g_warnLines.empty());
+    // The first warning the bucket let through is a slow request, and
+    // it carries the drops that preceded it.
+    const std::string &first = g_warnLines.front();
+    EXPECT_NE(first.find("tead: slow request on conn"), std::string::npos)
+        << first;
+    std::string suffix =
+        strprintf("; %llu similar warnings suppressed",
+                  static_cast<unsigned long long>(denied));
+    EXPECT_TRUE(first.size() >= suffix.size() &&
+                first.compare(first.size() - suffix.size(), suffix.size(),
+                              suffix) == 0)
+        << first;
 }
 
 } // namespace

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/dot.hh"
 #include "util/json.hh"
@@ -65,6 +69,42 @@ TEST(RateLimiter, RefillIsCappedAtBurst)
     EXPECT_TRUE(rl.allowAt(1000.0));
     EXPECT_TRUE(rl.allowAt(1000.0));
     EXPECT_FALSE(rl.allowAt(1000.0));
+}
+
+std::vector<std::string> g_warnLines; ///< captured by captureWarn
+
+void
+captureWarn(const char *tag, const char *msg)
+{
+    if (std::string(tag) == "warn")
+        g_warnLines.emplace_back(msg);
+}
+
+TEST(RateLimiter, WarnLimitedReportsWhatItSuppressed)
+{
+    RateLimiter &limiter = sharedWarnLimiter();
+    while (limiter.allow()) {
+    } // empty the shared bucket
+    limiter.suppressedAndReset();
+    g_warnLines.clear();
+    setLogSink(captureWarn);
+
+    uint64_t denied = 0;
+    for (int i = 0; i < 3; ++i)
+        if (!warnLimited("flood %d", i))
+            ++denied;
+    EXPECT_GT(denied, 0u) << "the bucket was just emptied";
+    EXPECT_EQ(g_warnLines.size(), 3 - denied);
+
+    // 5 tokens/s: a quarter second refills at least one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    g_warnLines.clear();
+    EXPECT_TRUE(warnLimited("after %s", "the flood"));
+    setLogSink(nullptr);
+    ASSERT_EQ(g_warnLines.size(), 1u);
+    EXPECT_EQ(g_warnLines[0],
+              strprintf("after the flood; %llu similar warnings suppressed",
+                        static_cast<unsigned long long>(denied)));
 }
 
 TEST(RateLimiter, ClockGoingBackwardsIsHarmless)
