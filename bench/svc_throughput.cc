@@ -23,6 +23,15 @@
  * time against v1 (CI pins it at 1.0 — the batch kernel must not be
  * slower than the raw parse).
  *
+ * The fused-kernel section times runReplayJob end to end — frame
+ * parse, CRC, decode and replay — in ns/record over the delta and the
+ * elided logs, fused (the strict compiled path) against two-pass (the
+ * same job in salvage mode, which on an intact log decodes whole
+ * chunks and feedAll()s them with no salvage work left to do). Each
+ * row is the median of interleaved pairs with the pair ratios'
+ * quartiles as its spread; --min-fused-speedup X gates the elided
+ * median speedup.
+ *
  * The observability guard: a third single-threaded timing runs the
  * compiled kernel under the exact instrumentation runReplayJob()
  * applies (kFeedBatch-sliced feeds, clock stamps at slice boundaries,
@@ -38,6 +47,7 @@
  *                       [--json FILE] [--min-speedup X]
  *                       [--max-overhead X] [--min-compression X]
  *                       [--max-decode-ratio X]
+ *                       [--min-fused-speedup X]
  */
 
 #include <cstdio>
@@ -55,6 +65,7 @@
 #include "tea/builder.hh"
 #include "tea/compiled.hh"
 #include "util/logging.hh"
+#include "util/stats.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
 #include "vm/machine.hh"
@@ -216,6 +227,71 @@ decodeNsPerTransition(const std::vector<uint8_t> &bytes,
     return records ? best * 1e6 / static_cast<double>(records) : 0.0;
 }
 
+/** Fused/two-pass pairs behind each end-to-end row, and the passes
+ *  over every stream that make one side of a pair. */
+constexpr size_t kFusedPairs = 15;
+constexpr int kPassesPerSample = 4;
+
+/** One end-to-end row: medians and the pair ratios' spread. */
+struct FusedRow
+{
+    double fusedNs = 0;   ///< median ns/record, fused
+    double twoPassNs = 0; ///< median ns/record, two-pass
+    double speedup = 0;   ///< median of the per-pair two-pass/fused
+    double speedupQ1 = 0, speedupQ3 = 0; ///< quartiles of the same
+};
+
+/**
+ * runReplayJob ns/record over `jobs`, fused against two-pass (the same
+ * jobs in salvage mode), as `kFusedPairs` interleaved pairs: the side
+ * that runs first alternates, so host drift lands on both. Returns
+ * false when the two paths disagree on any stream's stats or profile.
+ */
+bool
+fusedVsTwoPass(const std::vector<ReplayJob> &jobs, FusedRow &row)
+{
+    std::vector<ReplayJob> twoPass = jobs;
+    for (ReplayJob &job : twoPass)
+        job.salvage = true;
+    uint64_t records = 0;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        StreamResult a = runReplayJob(jobs[i], LookupConfig{});
+        StreamResult b = runReplayJob(twoPass[i], LookupConfig{});
+        if (!a.ok() || !b.ok() || b.salvaged || a.stats != b.stats ||
+            a.execCounts != b.execCounts)
+            return false;
+        records += a.stats.blocks;
+    }
+    auto sampleNs = [&](const std::vector<ReplayJob> &side) {
+        Stopwatch timer;
+        for (int pass = 0; pass < kPassesPerSample; ++pass)
+            for (const ReplayJob &job : side)
+                runReplayJob(job, LookupConfig{});
+        return timer.elapsedMillis() * 1e6 /
+               static_cast<double>(records * kPassesPerSample);
+    };
+    std::vector<double> fused, two, ratio;
+    for (size_t pair = 0; pair < kFusedPairs; ++pair) {
+        double f, t;
+        if (pair % 2 == 0) {
+            f = sampleNs(jobs);
+            t = sampleNs(twoPass);
+        } else {
+            t = sampleNs(twoPass);
+            f = sampleNs(jobs);
+        }
+        fused.push_back(f);
+        two.push_back(t);
+        ratio.push_back(t / f);
+    }
+    row.fusedNs = percentile(fused, 50);
+    row.twoPassNs = percentile(two, 50);
+    row.speedup = percentile(ratio, 50);
+    row.speedupQ1 = percentile(ratio, 25);
+    row.speedupQ3 = percentile(ratio, 75);
+    return true;
+}
+
 } // namespace
 
 int
@@ -228,6 +304,7 @@ main(int argc, char **argv)
     double max_overhead = 0.0;
     double min_compression = 0.0;
     double max_decode_ratio = 0.0;
+    double min_fused_speedup = 0.0;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--streams") && i + 1 < argc)
             streams = static_cast<size_t>(std::atoi(argv[i + 1]));
@@ -243,6 +320,9 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--max-decode-ratio") &&
                  i + 1 < argc)
             max_decode_ratio = std::atof(argv[i + 1]);
+        else if (!std::strcmp(argv[i], "--min-fused-speedup") &&
+                 i + 1 < argc)
+            min_fused_speedup = std::atof(argv[i + 1]);
     }
 
     // The syn.gzip-class set: data-dependent compression-loop CFGs.
@@ -403,6 +483,36 @@ main(int argc, char **argv)
                 "bit-identically\n",
                 compression_v2, compression_elided, decode_ratio);
 
+    // End to end through runReplayJob: the fused kernel against the
+    // two-pass path, per encoding.
+    const char *fused_name[2] = {"v2 delta", "v2 elided"};
+    FusedRow fused_rows[2];
+    TextTable fused_table({"log", "fused ns/rec", "two-pass ns/rec",
+                           "speedup", "pair spread (q1-q3)"});
+    for (int e = 0; e < 2; ++e) {
+        std::vector<ReplayJob> side;
+        for (size_t k = 0; k < names.size(); ++k)
+            side.push_back(ReplayJob{teas[k], "",
+                                     e == 0 ? &logs[k] : &logs_elided[k],
+                                     compiled[k]});
+        if (!fusedVsTwoPass(side, fused_rows[e])) {
+            std::fprintf(stderr,
+                         "fused and two-pass replay of the %s logs "
+                         "disagree\n", fused_name[e]);
+            return 1;
+        }
+        const FusedRow &r = fused_rows[e];
+        fused_table.addRow({fused_name[e], TextTable::num(r.fusedNs, 2),
+                            TextTable::num(r.twoPassNs, 2),
+                            TextTable::num(r.speedup, 2) + "x",
+                            TextTable::num(r.speedupQ1, 2) + "-" +
+                                TextTable::num(r.speedupQ3, 2) + "x"});
+    }
+    std::fputs(fused_table.render().c_str(), stdout);
+    std::printf("runReplayJob end to end: median of %zu interleaved "
+                "fused/two-pass pairs; stats and profiles identical\n",
+                kFusedPairs);
+
     TextTable table({"workers", "batch ms", "streams/s", "speedup"});
     double base_sps = 0.0;
     BatchResult reference;
@@ -506,6 +616,21 @@ main(int argc, char **argv)
         std::fprintf(f, "  \"decodeNsPerRecordElided\": %.4f,\n",
                      enc_ns[2]);
         std::fprintf(f, "  \"decodeRatioV2\": %.4f,\n", decode_ratio);
+        std::fprintf(f, "  \"fusedPairs\": %zu,\n", kFusedPairs);
+        const char *fused_key[2] = {"Delta", "Elided"};
+        for (int e = 0; e < 2; ++e) {
+            const FusedRow &r = fused_rows[e];
+            std::fprintf(f, "  \"jobNsPerRecord%sFused\": %.4f,\n",
+                         fused_key[e], r.fusedNs);
+            std::fprintf(f, "  \"jobNsPerRecord%sTwoPass\": %.4f,\n",
+                         fused_key[e], r.twoPassNs);
+            std::fprintf(f, "  \"fusedSpeedup%s\": %.4f,\n",
+                         fused_key[e], r.speedup);
+            std::fprintf(f, "  \"fusedSpeedup%sQ1\": %.4f,\n",
+                         fused_key[e], r.speedupQ1);
+            std::fprintf(f, "  \"fusedSpeedup%sQ3\": %.4f,\n",
+                         fused_key[e], r.speedupQ3);
+        }
         std::fprintf(f, "  \"streamsPerSec\": [\n");
         for (size_t i = 0; i < worker_sps.size(); ++i)
             std::fprintf(f,
@@ -541,6 +666,14 @@ main(int argc, char **argv)
                      "FAIL: v2 decode at %.2fx the v1 time exceeds "
                      "the allowed %.2fx\n", decode_ratio,
                      max_decode_ratio);
+        return 1;
+    }
+    if (min_fused_speedup > 0.0 &&
+        fused_rows[1].speedup < min_fused_speedup) {
+        std::fprintf(stderr,
+                     "FAIL: fused replay of elided logs at %.2fx the "
+                     "two-pass speed, below the required %.2fx\n",
+                     fused_rows[1].speedup, min_fused_speedup);
         return 1;
     }
     return 0;

@@ -41,21 +41,35 @@ runReplayJob(const ReplayJob &job, LookupConfig cfg)
         TeaReplayer replayer =
             job.tea ? TeaReplayer(*job.tea, cfg, job.compiled)
                     : TeaReplayer(job.compiled, cfg);
-        // Feed whole decoded chunks: the batch decode kernel fills the
-        // reader's chunk buffer and feedAll() consumes it in place —
-        // no per-record copy between decode and replay. The per-phase
-        // clock is stamped only at chunk boundaries — three reads per
+        // Strict compiled jobs replay each CRC-checked frame through
+        // the fused decode→replay kernel: no record is materialized
+        // between decode and replay. Three kinds of job keep the
+        // two-pass path (whole chunks decoded, then feedAll()), which
+        // is also the fused kernel's oracle: salvage jobs, because a
+        // torn chunk must leave the replayer exactly at the last good
+        // chunk; reference-kernel jobs; and checkConsistency jobs,
+        // because a desync PanicError must never pre-empt the
+        // FatalError the oracle raises on the same chunk. The clock is
+        // read only at chunk boundaries — three reads per
         // kChunkRecords transitions, nothing in the transition loop
         // itself (the ≤3% instrumentation budget that
         // bench/svc_throughput enforces).
+        const bool fused = !job.salvage && cfg.useCompiled &&
+                           !cfg.checkConsistency;
         for (;;) {
             uint64_t t0 = obs::monotonicNanos();
-            const std::vector<BlockTransition> *buf = reader.nextChunk();
+            TraceChunkView frame;
+            const std::vector<BlockTransition> *buf = nullptr;
+            bool more = fused ? reader.nextFrame(frame)
+                              : (buf = reader.nextChunk()) != nullptr;
             uint64_t t1 = obs::monotonicNanos();
             res.decodeNs += t1 - t0;
-            if (buf == nullptr)
+            if (!more)
                 break;
-            replayer.feedAll(buf->data(), buf->data() + buf->size());
+            if (fused)
+                replayChunk(frame, decodeTea, replayer);
+            else
+                replayer.feedAll(buf->data(), buf->data() + buf->size());
             uint64_t t2 = obs::monotonicNanos();
             res.replayNs += t2 - t1;
             ++res.batches;

@@ -94,18 +94,24 @@ struct StreamResult
     uint64_t salvageBytesDropped = 0;
 
     /**
-     * Per-phase wall-clock profile, stamped only at feedAll() batch
-     * boundaries so no clock read lands in the transition loop.
+     * Per-phase wall-clock profile, stamped only at chunk boundaries
+     * so no clock read lands in the transition loop. What each phase
+     * covers depends on the path runReplayJob() took: on the fused
+     * path (strict compiled jobs) decodeNs is the chunk frame parse
+     * and CRC check and replayNs the fused decode+kernel loop; on the
+     * two-pass path (salvage, reference-kernel and checkConsistency
+     * jobs) decodeNs is the whole chunk decode and replayNs feedAll().
      * Deliberately *not* part of ReplayStats: stats stay pure event
      * counts with a defaulted operator== (the determinism checks and
      * the 11-u64 wire encoding depend on that), while timing is
      * scheduler noise that may differ between identical runs.
      */
-    uint64_t decodeNs = 0; ///< log decode time (TraceLogReader::next)
-    uint64_t replayNs = 0; ///< kernel time (feedAll)
-    uint64_t batches = 0;  ///< feedAll() calls made
+    uint64_t decodeNs = 0; ///< frame + CRC (fused) or chunk decode
+    uint64_t replayNs = 0; ///< fused decode+kernel loop, or feedAll()
+    uint64_t batches = 0;  ///< chunks replayed
 
-    /** Transition rate over the replay phase, for profiling reports. */
+    /** Transition rate over the replay phase: a decode+kernel rate on
+     *  the fused path, a kernel-only rate on the two-pass path. */
     double
     transitionsPerSec() const
     {
@@ -141,8 +147,12 @@ struct BatchResult
  *
  * The single-stream unit of work shared by ReplayService (which fans
  * it out over a worker pool) and the network session (net/session.hh,
- * which runs it inline per REPLAY_STREAM request). Failures are
- * reported in the result, never thrown.
+ * which runs it inline per REPLAY_STREAM request). Strict jobs on the
+ * compiled kernel replay through the fused decode→replay kernel
+ * (svc/tracelog.hh replayChunk); salvage, reference-kernel and
+ * checkConsistency jobs decode whole chunks and feedAll() them. Both
+ * paths give bit-identical results. Failures are reported in the
+ * result, never thrown.
  */
 StreamResult runReplayJob(const ReplayJob &job, LookupConfig cfg);
 

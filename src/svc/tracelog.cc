@@ -1,9 +1,9 @@
 #include "svc/tracelog.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "tea/compiled.hh"
+#include "tea/replayer.hh"
 #include "util/bytes.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
@@ -16,18 +16,6 @@ namespace {
 
 /** File-write buffer: chunks accumulate here between write() calls. */
 constexpr size_t kWriteBuffer = 256 * 1024;
-
-/**
- * Force the per-record decoders into the chunk loop: at -O2 GCC
- * outlines them (the cold fatal() paths inflate their size estimate),
- * and the call/return alone costs a measurable share of the decode
- * budget at a few ns per record.
- */
-#if defined(__GNUC__)
-#define TEA_HOT_INLINE inline __attribute__((always_inline))
-#else
-#define TEA_HOT_INLINE inline
-#endif
 
 constexpr uint8_t kMaxEdgeKind = static_cast<uint8_t>(EdgeKind::Halt);
 
@@ -134,27 +122,32 @@ struct DictEntry
 };
 
 /**
- * The chunk dictionary, on the batch kernel's hottest path: one find()
- * per record, one put() per distinct block. Open addressing with
- * linear probing and a multiplicative hash — the per-record cost is
- * one multiply and (almost always) one probe, where unordered_map's
- * bucket chase alone made v2 decode measurably slower than v1.
+ * The codec's per-chunk maps — the block dictionary (one find() per
+ * delta record, one put() per distinct block) and the elision
+ * predictor's edge-kind table. Open addressing with linear probing and
+ * a multiplicative hash: the per-record cost is one multiply and
+ * (almost always) one probe, where unordered_map's bucket chase alone
+ * made v2 decode measurably slower than v1, and its node frees made
+ * every chunk boundary pay for the previous chunk.
  */
-class BlockDict
+template <class Key, class Value>
+class StampedMap
 {
   public:
-    BlockDict() { rehash(1u << 9); }
-
     /**
      * O(1) between-chunk reset: bumping the generation invalidates
      * every slot without touching the table, and the table keeps its
-     * grown capacity — a reused dictionary does no allocation and no
-     * memset at a chunk boundary, where assign()-style clearing was a
-     * measurable share of the per-record decode budget.
+     * grown capacity — a reused map does no allocation and no memset
+     * at a chunk boundary, where assign()-style clearing was a
+     * measurable share of the per-record decode budget. The first
+     * clear() allocates, so a map that is never used costs nothing;
+     * call it before any find() or put().
      */
     void
     clear()
     {
+        if (slots.empty())
+            rehash(1u << 9);
         count = 0;
         if (++gen == 0) {
             // Stamp wrap-around: re-zero once every 2^32 clears so a
@@ -165,20 +158,20 @@ class BlockDict
         }
     }
 
-    const DictEntry *
-    find(Addr key) const
+    const Value *
+    find(Key key) const
     {
         for (size_t i = slot(key);; i = (i + 1) & mask) {
             const Slot &sl = slots[i];
             if (sl.stamp != gen)
                 return nullptr;
             if (sl.key == key)
-                return &sl.entry;
+                return &sl.value;
         }
     }
 
     void
-    put(Addr key, DictEntry v)
+    put(Key key, Value v)
     {
         if ((count + 1) * 10 >= capacity * 7)
             grow();
@@ -187,31 +180,35 @@ class BlockDict
             if (sl.stamp != gen) {
                 sl.stamp = gen;
                 sl.key = key;
-                sl.entry = v;
+                sl.value = v;
                 ++count;
                 return;
             }
             if (sl.key == key) {
-                sl.entry = v;
+                sl.value = v;
                 return;
             }
         }
     }
 
   private:
-    /** One probe touches one cache line: stamp, key, and payload live
+    /** One probe touches one cache line: key, stamp, and payload live
      * together rather than in parallel arrays. */
     struct Slot
     {
+        Key key{};
         uint32_t stamp = 0;
-        Addr key = 0;
-        DictEntry entry{};
+        Value value{};
     };
 
-    size_t slot(Addr key) const
+    static uint64_t hashKey(uint32_t key) { return key * 0x9e3779b1ull; }
+    static uint64_t
+    hashKey(uint64_t key)
     {
-        return (static_cast<uint64_t>(key) * 0x9e3779b1u) & mask;
+        return (key * 0x9e3779b97f4a7c15ull) >> 32;
     }
+
+    size_t slot(Key key) const { return hashKey(key) & mask; }
 
     void
     rehash(size_t cap)
@@ -231,7 +228,7 @@ class BlockDict
         rehash(capacity * 2);
         for (const Slot &sl : old)
             if (sl.stamp == oldGen)
-                put(sl.key, sl.entry);
+                put(sl.key, sl.value);
     }
 
     std::vector<Slot> slots;
@@ -241,35 +238,91 @@ class BlockDict
     size_t count = 0;
 };
 
+/**
+ * Elision: the label last taken out of each automaton state this
+ * chunk — a flat array indexed by state id, cleared in O(1) by the
+ * same generation-stamp scheme as StampedMap.
+ */
+class StateLabels
+{
+  public:
+    /** Start a chunk over an automaton of `states` states. */
+    void
+    reset(uint32_t states)
+    {
+        if (slots.size() < states)
+            slots.resize(states);
+        if (++gen == 0) {
+            for (Slot &sl : slots)
+                sl.stamp = 0;
+            gen = 1;
+        }
+    }
+
+    const Addr *
+    find(StateId s) const
+    {
+        const Slot &sl = slots[s];
+        return sl.stamp == gen ? &sl.label : nullptr;
+    }
+
+    void put(StateId s, Addr label) { slots[s] = Slot{gen, label}; }
+
+  private:
+    struct Slot
+    {
+        uint32_t stamp = 0;
+        Addr label = 0;
+    };
+
+    std::vector<Slot> slots;
+    uint32_t gen = 0;
+};
+
 struct DeltaState
 {
     Addr prevTo = kNoAddr; ///< previous record's toStart; kNoAddr = none
-    BlockDict dict;        ///< by from.start
+    StampedMap<Addr, DictEntry> dict; ///< by from.start
     StateId pred = Tea::kNteState; ///< elision: the mirrored DFA state
     /** Elision: last kind seen on the (from.start, toStart) edge. */
-    std::unordered_map<uint64_t, EdgeKind> edgeKind;
+    StampedMap<uint64_t, EdgeKind> edgeKind;
     /** Elision: last label taken out of each automaton state. */
-    std::unordered_map<StateId, Addr> lastSucc;
+    StateLabels lastSucc;
 
     /**
-     * Reset to the chunk-boundary state. Containers keep their
-     * capacity, so a thread_local scratch DeltaState makes the codec
-     * allocation-free in steady state while every chunk still decodes
-     * standalone — exactly the same observable behaviour as a fresh
-     * DeltaState.
+     * Reset to the chunk-boundary state. Tables keep their capacity,
+     * so the per-thread scratch DeltaState (codecState()) makes the
+     * codec allocation-free in steady state while every chunk still
+     * decodes standalone — exactly the same observable behaviour as a
+     * fresh DeltaState. Pass the automaton of an elided chunk to reset
+     * the predictor's tables too.
      */
     void
-    reset()
+    reset(const CompiledTea *elideWith = nullptr)
     {
         prevTo = kNoAddr;
         pred = Tea::kNteState;
         dict.clear();
-        edgeKind.clear();
-        lastSucc.clear();
+        if (elideWith != nullptr) {
+            edgeKind.clear();
+            lastSucc.reset(elideWith->numStates());
+        }
     }
 };
 
-uint64_t
+/**
+ * The calling thread's codec state. Every chunk, encoded or decoded,
+ * starts with reset() and no chunk codec call nests in another, so the
+ * writer and both decode paths share one per thread.
+ */
+DeltaState &
+codecState()
+{
+    thread_local DeltaState st;
+    return st;
+}
+
+constexpr uint64_t
 edgeKey(Addr from, Addr to)
 {
     return (static_cast<uint64_t>(from) << 32) | to;
@@ -368,12 +421,14 @@ decodeDeltaRecord(ByteReader &r, DeltaState &st)
 // -------------------------------------------------- elision predictor
 //
 // The writer and reader mirror the replayer's transition function
-// exactly (tea/replayer.cc feedCompiled): from a trace state, scan its
-// CSR successor run for the label; otherwise — and always from NTE —
-// fall back to the global entry index. The state outcome is
-// independent of LookupConfig (the local cache is value-transparent
-// and the B-tree/flat-hash containers index the same mapping), which
-// is what makes one predictor sound for every replay mode.
+// exactly (TeaReplayer::CompiledKernel::step, tea/replayer.hh): from a
+// trace state, scan its CSR successor run for the label; otherwise —
+// and always from NTE — fall back to the global entry index. The state
+// outcome is independent of LookupConfig (the local cache is value-
+// transparent and the B-tree/flat-hash containers index the same
+// mapping), which is what makes one predictor sound for every replay
+// mode — and what lets the fused kernel take the replayer's own state
+// as the mirrored state once the two meet.
 
 StateId
 predictAdvance(const CompiledTea &ct, StateId s, Addr label)
@@ -403,7 +458,7 @@ predictAdvance(const CompiledTea &ct, StateId s, Addr label)
  * actual record and sets a bit only on exact equality, so
  * reconstruction is bit-identical by construction.
  */
-bool
+TEA_HOT_INLINE bool
 predictRecord(const CompiledTea &ct, const DeltaState &st,
               BlockTransition &out)
 {
@@ -413,37 +468,61 @@ predictRecord(const CompiledTea &ct, const DeltaState &st,
     if (it == nullptr)
         return false;
     Addr dest;
-    auto ls = st.lastSucc.find(st.pred);
-    if (ls != st.lastSucc.end()) {
-        dest = ls->second;
+    if (const Addr *last = st.lastSucc.find(st.pred)) {
+        dest = *last;
     } else {
         const CompiledTea::Succ *b = ct.succBegin(st.pred);
         if (ct.succEnd(st.pred) == b)
             return false;
         dest = b->label;
     }
-    auto ek = st.edgeKind.find(edgeKey(st.prevTo, dest));
-    if (ek == st.edgeKind.end())
+    const EdgeKind *kind = st.edgeKind.find(edgeKey(st.prevTo, dest));
+    if (kind == nullptr)
         return false;
     out.from.start = st.prevTo;
     out.from.end = st.prevTo + it->span;
     out.from.icount = it->icount;
-    out.kind = ek->second;
+    out.kind = *kind;
     out.toStart = dest;
     return true;
 }
 
 /**
- * Advance the elision predictor's dynamic tables past one record —
- * writer and reader run this identically, before predictAdvance()
- * moves the mirrored state.
+ * Advance the elision predictor's dynamic tables past one explicit
+ * record — writer and reader run this identically, before
+ * predictAdvance() moves the mirrored state. A predicted record skips
+ * it: the prediction just read its edge kind and its destination
+ * (lastSucc, or the first successor that an unset lastSucc stands
+ * for), so writing them back would store what is already there.
  */
 void
 notePredictorTables(DeltaState &st, const BlockTransition &tr)
 {
-    st.edgeKind[edgeKey(tr.from.start, tr.toStart)] = tr.kind;
+    st.edgeKind.put(edgeKey(tr.from.start, tr.toStart), tr.kind);
     if (st.pred != Tea::kNteState && tr.toStart != kNoAddr)
-        st.lastSucc[st.pred] = tr.toStart;
+        st.lastSucc.put(st.pred, tr.toStart);
+}
+
+/**
+ * Decode record `i` of an elided chunk: the prediction when its bitset
+ * bit is set (an unpredictable set bit is corruption, CRC or not),
+ * else the explicit delta record, which also updates the predictor's
+ * tables. The caller advances `st.pred`.
+ */
+TEA_HOT_INLINE BlockTransition
+decodeElidedRecord(const CompiledTea &ct, const uint8_t *bits, uint32_t i,
+                   ByteReader &r, DeltaState &st)
+{
+    BlockTransition tr;
+    if ((bits[i >> 3] >> (i & 7)) & 1) {
+        if (!predictRecord(ct, st, tr))
+            fatal("tracelog: elided record %u is not predictable", i);
+        st.prevTo = tr.toStart;
+    } else {
+        tr = decodeDeltaRecord(r, st);
+        notePredictorTables(st, tr);
+    }
+    return tr;
 }
 
 bool
@@ -553,6 +632,94 @@ readTrailer(PayloadReader &r, uint64_t records)
     r.expectEnd();
 }
 
+// ------------------------------------------------------ chunk walker
+
+/**
+ * Decode every record of one CRC-validated chunk payload, in order,
+ * into `sink(i, record)`. The records stay in registers unless the
+ * sink stores them. `sink.synced(pred)` says whether the sink's own
+ * automaton state now equals the elision predictor's mirrored state
+ * `pred`; once it does, the two take the same transitions (see
+ * "elision predictor" above), so `pred` is read from `sink.state()`
+ * instead of being walked a second time by predictAdvance(). Throws
+ * FatalError on any malformed payload, after the sink has seen the
+ * records before the bad one.
+ */
+template <class Sink>
+TEA_HOT_INLINE void
+walkChunk(const TraceChunkView &chunk, const CompiledTea *automaton,
+          Sink &sink)
+{
+    ByteReader r{chunk.payload, chunk.payload + chunk.size};
+    switch (chunk.encoding) {
+    case ChunkEncoding::Raw:
+        for (uint32_t i = 0; i < chunk.records; ++i)
+            sink(i, decodeRawRecord(r));
+        break;
+    case ChunkEncoding::Delta: {
+        DeltaState &st = codecState();
+        st.reset();
+        for (uint32_t i = 0; i < chunk.records; ++i)
+            sink(i, decodeDeltaRecord(r, st));
+        break;
+    }
+    case ChunkEncoding::Elided: {
+        if (automaton == nullptr)
+            fatal("tracelog: elided chunk needs the recording "
+                  "automaton");
+        const CompiledTea &ct = *automaton;
+        size_t nbits = (static_cast<size_t>(chunk.records) + 7) / 8;
+        if (chunk.size < nbits)
+            fatal("tracelog: truncated elision bitset");
+        const uint8_t *bits = chunk.payload;
+        r.p = chunk.payload + nbits;
+        DeltaState &st = codecState();
+        st.reset(&ct);
+        uint32_t i = 0;
+        for (; i < chunk.records && !sink.synced(st.pred); ++i) {
+            BlockTransition tr = decodeElidedRecord(ct, bits, i, r, st);
+            sink(i, tr);
+            st.pred = predictAdvance(ct, st.pred, tr.toStart);
+        }
+        for (; i < chunk.records; ++i) {
+            st.pred = sink.state();
+            sink(i, decodeElidedRecord(ct, bits, i, r, st));
+        }
+        break;
+    }
+    default:
+        fatal("tracelog: bad chunk encoding %u",
+              static_cast<unsigned>(chunk.encoding));
+    }
+    if (r.p != r.end)
+        fatal("tracelog: %zu undecoded payload bytes", r.left());
+}
+
+/** The two-pass sink: store each record for feedAll(). It has no
+ *  automaton state, so the predictor always walks its own. */
+struct StoreRecords
+{
+    BlockTransition *dst;
+
+    void operator()(uint32_t i, const BlockTransition &tr) { dst[i] = tr; }
+    static bool synced(StateId) { return false; }
+    static StateId state() { return Tea::kNteState; }
+};
+
+/** The fused sink: step the compiled kernel on each record. */
+struct StepReplayer
+{
+    TeaReplayer::CompiledRun run;
+
+    TEA_HOT_INLINE void
+    operator()(uint32_t, const BlockTransition &tr)
+    {
+        run.step(tr.from.start, tr.from.icount, tr.toStart);
+    }
+    bool synced(StateId pred) const { return pred == run.state(); }
+    StateId state() const { return run.state(); }
+};
+
 } // namespace
 
 // ----------------------------------------------------- shared codec
@@ -591,7 +758,7 @@ encodeChunkPayload(std::vector<uint8_t> &out, ChunkEncoding encoding,
             encodeTransition(out, batch[i]);
         return;
     case ChunkEncoding::Delta: {
-        thread_local DeltaState st;
+        DeltaState &st = codecState();
         st.reset();
         for (size_t i = 0; i < n; ++i)
             encodeDeltaRecord(out, batch[i], st);
@@ -604,8 +771,8 @@ encodeChunkPayload(std::vector<uint8_t> &out, ChunkEncoding encoding,
         size_t base = out.size();
         out.resize(base + (n + 7) / 8, 0);
         std::vector<uint8_t> fallback;
-        thread_local DeltaState st;
-        st.reset();
+        DeltaState &st = codecState();
+        st.reset(&ct);
         for (size_t i = 0; i < n; ++i) {
             BlockTransition predicted;
             if (predictRecord(ct, st, predicted) &&
@@ -617,8 +784,8 @@ encodeChunkPayload(std::vector<uint8_t> &out, ChunkEncoding encoding,
                 st.prevTo = batch[i].toStart;
             } else {
                 encodeDeltaRecord(fallback, batch[i], st);
+                notePredictorTables(st, batch[i]);
             }
-            notePredictorTables(st, batch[i]);
             st.pred = predictAdvance(ct, st.pred, batch[i].toStart);
         }
         out.insert(out.end(), fallback.begin(), fallback.end());
@@ -639,54 +806,22 @@ decodeChunk(const TraceChunkView &chunk, const CompiledTea *automaton,
     // the default-constructed tail is never observed.
     size_t base = out.size();
     out.resize(base + chunk.records);
-    BlockTransition *dst = out.data() + base;
-    ByteReader r{chunk.payload, chunk.payload + chunk.size};
-    switch (chunk.encoding) {
-    case ChunkEncoding::Raw:
-        for (uint32_t i = 0; i < chunk.records; ++i)
-            dst[i] = decodeRawRecord(r);
-        break;
-    case ChunkEncoding::Delta: {
-        thread_local DeltaState st;
-        st.reset();
-        for (uint32_t i = 0; i < chunk.records; ++i)
-            dst[i] = decodeDeltaRecord(r, st);
-        break;
-    }
-    case ChunkEncoding::Elided: {
-        if (automaton == nullptr)
-            fatal("tracelog: elided chunk needs the recording "
-                  "automaton");
-        const CompiledTea &ct = *automaton;
-        size_t nbits = (static_cast<size_t>(chunk.records) + 7) / 8;
-        if (chunk.size < nbits)
-            fatal("tracelog: truncated elision bitset");
-        const uint8_t *bits = chunk.payload;
-        r.p = chunk.payload + nbits;
-        thread_local DeltaState st;
-        st.reset();
-        for (uint32_t i = 0; i < chunk.records; ++i) {
-            BlockTransition &tr = dst[i];
-            if ((bits[i >> 3] >> (i & 7)) & 1) {
-                if (!predictRecord(ct, st, tr))
-                    fatal("tracelog: elided record %u is not "
-                          "predictable",
-                          i);
-                st.prevTo = tr.toStart;
-            } else {
-                tr = decodeDeltaRecord(r, st);
-            }
-            notePredictorTables(st, tr);
-            st.pred = predictAdvance(ct, st.pred, tr.toStart);
-        }
-        break;
-    }
-    default:
-        fatal("tracelog: bad chunk encoding %u",
-              static_cast<unsigned>(chunk.encoding));
-    }
-    if (r.p != r.end)
-        fatal("tracelog: %zu undecoded payload bytes", r.left());
+    StoreRecords sink{out.data() + base};
+    walkChunk(chunk, automaton, sink);
+}
+
+void
+replayChunk(const TraceChunkView &chunk, const CompiledTea *automaton,
+            TeaReplayer &replayer)
+{
+    TEA_ASSERT(replayer.compiledTea() != nullptr &&
+                   (automaton == nullptr ||
+                    automaton == replayer.compiledTea()),
+               "tracelog: the fused kernel needs a compiled replayer "
+               "walking the elision automaton");
+    StepReplayer sink{TeaReplayer::CompiledRun(replayer)};
+    walkChunk(chunk, automaton, sink);
+    sink.run.commit();
 }
 
 // ------------------------------------------------------- wire chunks
@@ -874,23 +1009,45 @@ TraceLogReader::loadChunk()
     loadChunkStrict();
 }
 
-void
-TraceLogReader::loadChunkStrict()
+bool
+TraceLogReader::readFrame(TraceChunkView &view)
 {
     uint32_t records = in.u32();
     if (records == 0) {
         readTrailer(in, decoded);
         done = true;
-        return;
+        return false;
     }
-    TraceChunkView view = readChunkFrame(in, version_, records);
+    view = readChunkFrame(in, version_, records);
+    decoded += records;
+    return true;
+}
+
+void
+TraceLogReader::loadChunkStrict()
+{
+    TraceChunkView view;
+    if (!readFrame(view))
+        return;
     chunk.clear();
     // The whole CRC-validated chunk decodes through the batch kernel;
     // a record that would read past the payload fails as truncation
     // instead of bleeding into the CRC word.
     decodeChunk(view, automaton, chunk);
-    decoded += records;
     chunkPos = 0;
+}
+
+bool
+TraceLogReader::nextFrame(TraceChunkView &view)
+{
+    TEA_ASSERT(mode == Mode::Strict,
+               "tracelog: salvage decodes whole chunks, not frames");
+    TEA_ASSERT(chunkPos >= chunk.size(),
+               "tracelog: nextFrame() with records still unread");
+    if (done || !readFrame(view))
+        return false;
+    surfaced += view.records;
+    return true;
 }
 
 bool

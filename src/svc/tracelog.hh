@@ -35,9 +35,16 @@
  *   replays the same CompiledTea to reconstruct the record the DFA
  *   fully determines — and a 0-bit falls back to an explicit delta
  *   record (cold blocks, trace entries/exits, halts);
- * - decodeChunk(), a batch kernel that decodes a whole CRC-validated
+ * - replayChunk(), the fused decode→replay kernel: each record of a
+ *   CRC-validated chunk is decoded into registers and handed straight
+ *   to the compiled transition step, so strict compiled replay never
+ *   materializes a record; for elided chunks the replayer's own walk
+ *   stands in for the predictor's mirrored one;
+ * - decodeChunk(), the batch kernel that decodes a whole CRC-validated
  *   chunk into a caller-provided vector with one bounds check per
- *   record region instead of one per byte.
+ *   record region instead of one per byte — what next()/nextChunk(),
+ *   salvage and the reference kernel read through, and the oracle the
+ *   fused kernel is differentially tested against.
  *
  * The explicit trailer makes truncation detectable: a reader that hits
  * EOF before the end marker (or whose summed chunk counts disagree with
@@ -62,6 +69,7 @@ namespace tea {
 
 class CompiledTea;
 class MappedFile;
+class TeaReplayer;
 
 /** Trace-log container constants (shared by writer, reader, tests). */
 struct TraceLogFormat
@@ -142,6 +150,23 @@ struct TraceChunkView
 void decodeChunk(const TraceChunkView &chunk,
                  const CompiledTea *automaton,
                  std::vector<BlockTransition> &out);
+
+/**
+ * The fused decode→replay kernel: decode one CRC-validated chunk and
+ * step `replayer` (compiled kernel only) through its records in the
+ * same loop, with no BlockTransition stored in between. Stats, profile
+ * and final state are bit-identical to decodeChunk() followed by
+ * feedAll(). `automaton` plays the same role as in decodeChunk() and
+ * must be null or the replayer's own snapshot (runReplayJob pins one
+ * for both), so elided records can take the replayer's state as the
+ * predictor's instead of walking the automaton a second time. Throws
+ * the FatalErrors decodeChunk() throws; a chunk that throws has
+ * already stepped the replayer through its leading records, so the
+ * caller discards the replayer (strict replay fails the whole stream
+ * anyway).
+ */
+void replayChunk(const TraceChunkView &chunk,
+                 const CompiledTea *automaton, TeaReplayer &replayer);
 
 /**
  * Encode `n` transitions as one chunk payload (no container header or
@@ -327,6 +352,15 @@ class TraceLogReader
      */
     const std::vector<BlockTransition> *nextChunk();
 
+    /**
+     * Frame access, Strict mode only: parse and CRC-check the next
+     * chunk frame exactly as nextChunk() does, but hand out its payload
+     * undecoded, for replayChunk(). The view borrows the log bytes. Do
+     * not mix with next() mid-chunk.
+     * @return false at the validated end of the log (trailer checked)
+     */
+    bool nextFrame(TraceChunkView &view);
+
     /** The container version of the open log (1 or 2). */
     uint32_t version() const { return version_; }
 
@@ -345,6 +379,8 @@ class TraceLogReader
   private:
     void loadChunk();
     void loadChunkStrict();
+    /** Parse the next frame, or the trailer (then false). */
+    bool readFrame(TraceChunkView &view);
 
     std::vector<uint8_t> owned; ///< backing store for the owning ctor
     std::shared_ptr<const MappedFile> map; ///< backing store, openFile

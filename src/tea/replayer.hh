@@ -43,6 +43,18 @@
 #include "tea/compiled.hh"
 #include "vm/block.hh"
 
+/**
+ * Force a per-record function into its loop: at -O2 GCC outlines the
+ * transition step and the record decoders (their cold fatal()/panic()
+ * paths inflate the size estimate), and the call alone costs a
+ * measurable share of a few-ns-per-record budget.
+ */
+#if defined(__GNUC__)
+#define TEA_HOT_INLINE inline __attribute__((always_inline))
+#else
+#define TEA_HOT_INLINE inline
+#endif
+
 namespace tea {
 
 /** Which lookup accelerators the transition function may use (§4.2). */
@@ -129,6 +141,99 @@ struct ReplayStats
  */
 class TeaReplayer
 {
+    /**
+     * The compiled transition function — the only one: feed() runs one
+     * step on the replayer's own state and counters, CompiledRun (and
+     * through it feedAll() and the fused decode→replay loop) on copies
+     * held in registers. The kernel caches the replayer's loop
+     * invariants, so a step reloads none of them.
+     */
+    class CompiledKernel
+    {
+      public:
+        explicit CompiledKernel(TeaReplayer &r)
+            : rp(r), ct(*r.compiled), exec(r.execCounts.data()),
+              useIndex(r.cfg.useGlobalBTree),
+              useCache(r.cfg.useLocalCache),
+              check(r.cfg.checkConsistency)
+        {
+        }
+
+        /**
+         * Attribute the block that just finished (start `from`,
+         * `icount` instructions) to state `c`, then resolve the next
+         * block's start `to` (kNoAddr: the program halted, stay put)
+         * through the state's CSR successor run, then the per-state
+         * local cache, then the global entry index. Counts into `s`;
+         * returns the new state.
+         */
+        TEA_HOT_INLINE StateId
+        step(StateId c, ReplayStats &s, Addr from, uint64_t icount,
+             Addr to) const
+        {
+            ++s.blocks;
+            ++exec[c];
+            s.insnsTotal += icount;
+            if (c == Tea::kNteState) {
+                // From NTE only the global container applies ("local
+                // caches are pointless outside of traces").
+                ++s.nteBlocks;
+                if (to == kNoAddr)
+                    return c;
+                ++s.transitions;
+                return resolve(s, to);
+            }
+            s.insnsInTrace += icount;
+            if (check && ct.stateStartOf(c) != from)
+                rp.desync(s, c, from);
+            if (to == kNoAddr)
+                return c;
+            ++s.transitions;
+            // 1. one contiguous run of (label, target) pairs.
+            const CompiledTea::Succ *end = ct.succEnd(c);
+            for (const CompiledTea::Succ *p = ct.succBegin(c); p != end;
+                 ++p) {
+                if (p->label == to) {
+                    ++s.intraTraceHits;
+                    return p->target;
+                }
+            }
+            ++s.traceExits;
+            // 2. the per-state local cache; 3. the global entry index.
+            StateId next;
+            if (!useCache) {
+                next = resolve(s, to);
+            } else if (rp.cacheLookup(c, to, next)) {
+                ++s.localCacheHits;
+            } else {
+                next = resolve(s, to);
+                rp.cacheFill(c, to, next);
+            }
+            if (next == Tea::kNteState)
+                ++s.exitsToCold;
+            return next;
+        }
+
+        TeaReplayer &rp;
+
+      private:
+        /** The compiled global lookup: the flat hash, or the flat
+         *  entry array when the index is ablated away. */
+        StateId
+        resolve(ReplayStats &s, Addr label) const
+        {
+            ++s.globalLookups;
+            StateId id = useIndex ? ct.entryAt(label) : ct.entryLinear(label);
+            if (id != Tea::kNteState)
+                ++s.globalHits;
+            return id;
+        }
+
+        const CompiledTea &ct;
+        uint64_t *const exec;
+        const bool useIndex, useCache, check;
+    };
+
   public:
     /**
      * @param tea    the automaton to replay (must outlive the replayer)
@@ -161,7 +266,8 @@ class TeaReplayer
     feed(const BlockTransition &tr)
     {
         if (compiled)
-            feedCompiled(tr);
+            cur = CompiledKernel(*this).step(cur, st, tr.from.start,
+                                             tr.from.icount, tr.toStart);
         else
             feedReference(tr);
     }
@@ -176,6 +282,48 @@ class TeaReplayer
      */
     void feedAll(const BlockTransition *begin,
                  const BlockTransition *end);
+
+    /**
+     * The compiled kernel over a run of transitions: the current state
+     * and the counters live in the run — in registers, once step()
+     * inlines — and go back to the replayer with commit(). feedAll()
+     * runs one run per batch, and the fused decode→replay loop of
+     * svc/tracelog.cc one run per chunk straight off its payload. A
+     * run that throws before commit() leaves stats() and
+     * currentState() as they were but has already counted the blocks
+     * it stepped in the profile, so a replayer whose run threw is fit
+     * only to be discarded. Compiled kernel only.
+     */
+    class CompiledRun
+    {
+      public:
+        explicit CompiledRun(TeaReplayer &r) : k(r), local(r.st), c(r.cur)
+        {
+        }
+
+        /** The automaton state of the block currently executing. */
+        StateId state() const { return c; }
+
+        /** One block execution; see CompiledKernel::step(). */
+        TEA_HOT_INLINE void
+        step(Addr from, uint64_t icount, Addr to)
+        {
+            c = k.step(c, local, from, icount, to);
+        }
+
+        /** Store the state and the counters back into the replayer. */
+        void
+        commit()
+        {
+            k.rp.st = local;
+            k.rp.cur = c;
+        }
+
+      private:
+        const CompiledKernel k;
+        ReplayStats local;
+        StateId c;
+    };
 
     /** The automaton state of the block currently executing. */
     StateId currentState() const { return cur; }
@@ -221,13 +369,25 @@ class TeaReplayer
     static constexpr uint32_t kNoCacheSlot = 0xffffffffu;
 
     void feedReference(const BlockTransition &tr);
-    void feedCompiled(const BlockTransition &tr);
-    void feedCompiledBatch(const BlockTransition *begin,
-                           const BlockTransition *end);
     StateId resolveEntry(Addr addr);
-    StateId resolveEntryCompiled(Addr addr);
-    bool cacheLookup(StateId state, Addr label, StateId &out);
     void cacheFill(StateId state, Addr label, StateId value);
+
+    /** Throw the "replay desync" PanicError, first storing `s` and
+     *  `c` so the replayer shows where the run stopped. */
+    [[noreturn]] void desync(ReplayStats s, StateId c, Addr executed);
+
+    bool
+    cacheLookup(StateId state, Addr label, StateId &out) const
+    {
+        uint32_t slot = cacheSlot[state];
+        if (slot == kNoCacheSlot)
+            return false;
+        uint32_t v;
+        if (!cachePool[slot].lookup(label, v))
+            return false;
+        out = static_cast<StateId>(v);
+        return true;
+    }
 
     /** The source automaton; null when replaying a compiled snapshot
      *  alone (the reference kernel is unavailable then). */

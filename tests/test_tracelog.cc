@@ -413,6 +413,21 @@ TEST(TraceLogElide, ElisionActuallyElidesAndShrinksTheLog)
     EXPECT_LT(fx.elided.size(), delta.size());
 }
 
+TEST(TraceLogElide, EncoderOutputIsPinned)
+{
+    // The writer's bytes are a file format: a codec change (the
+    // elision predictor's tables, the delta dictionary) must not move
+    // one byte of an existing container. The constants are the CRC-32
+    // of the whole containers of the syn.gzip test stream as written
+    // before the predictor tables became flat stamped arrays.
+    const ElisionFixture &fx = elisionFixture();
+    std::vector<uint8_t> delta = encodeLog(fx.live);
+    EXPECT_EQ(delta.size(), 39137u);
+    EXPECT_EQ(crc32(delta.data(), delta.size()), 0x6fda760fu);
+    EXPECT_EQ(fx.elided.size(), 14292u);
+    EXPECT_EQ(crc32(fx.elided.data(), fx.elided.size()), 0x26c8b25eu);
+}
+
 TEST(TraceLogElide, ReaderWithoutTheAutomatonFailsCleanly)
 {
     const ElisionFixture &fx = elisionFixture();

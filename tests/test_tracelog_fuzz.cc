@@ -7,7 +7,10 @@
  * sweep runs over both versions (v1 raw records, v2 delta chunks) and
  * over elided v2 logs; the batch decode kernel's malformed-payload
  * paths are hit directly; and a randomized differential suite pins
- * v1 <-> v2 <-> elided bit-identity through every lookup mode.
+ * v1 <-> v2 <-> elided bit-identity through every lookup mode. The
+ * fused decode→replay path of runReplayJob is held to the two-pass
+ * oracle (whole chunks decoded, then feedAll()) on real workload logs
+ * in every lookup mode and over the whole strict corruption corpus.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "svc/replay_service.hh"
 #include "svc/tracelog.hh"
 #include "tea/builder.hh"
+#include "tea/replayer.hh"
 #include "tea/compiled.hh"
 #include "util/bytes.hh"
 #include "util/crc32.hh"
@@ -803,6 +807,382 @@ TEST(TraceLogDifferential, ReplayAgreesAcrossEncodingsAndLookupModes)
                     << " global=" << useGlobal;
             }
         }
+    }
+}
+
+// ------------------------------------------ fused kernel vs the oracle
+
+/**
+ * The two-pass oracle: whole chunks decoded through the reader, then
+ * fed with feedAll() — the path runReplayJob keeps for salvage,
+ * reference-kernel and checkConsistency jobs.
+ */
+StreamResult
+oracleReplay(const ReplayJob &job, LookupConfig cfg)
+{
+    StreamResult res;
+    try {
+        auto mode = job.salvage ? TraceLogReader::Mode::Salvage
+                                : TraceLogReader::Mode::Strict;
+        TraceLogReader reader(job.logBytes->data(), job.logBytes->size(),
+                              mode, job.compiled.get());
+        TeaReplayer replayer = job.tea
+                                   ? TeaReplayer(*job.tea, cfg, job.compiled)
+                                   : TeaReplayer(job.compiled, cfg);
+        while (const std::vector<BlockTransition> *c = reader.nextChunk())
+            replayer.feedAll(c->data(), c->data() + c->size());
+        res.salvaged = reader.torn();
+        res.salvageBytesDropped = reader.bytesDiscarded();
+        res.stats = replayer.stats();
+        res.execCounts.resize(replayer.numStates());
+        for (StateId id = 0; id < replayer.numStates(); ++id)
+            res.execCounts[id] = replayer.execCount(id);
+    } catch (const FatalError &e) {
+        res = StreamResult{};
+        res.error = e.what();
+    }
+    return res;
+}
+
+/** runReplayJob against the oracle: same verdict, same error, and on
+ *  success the same counters, profile and salvage outcome. */
+void
+expectSameAsOracle(const ReplayJob &job, LookupConfig cfg,
+                   const std::string &what)
+{
+    StreamResult got = runReplayJob(job, cfg);
+    StreamResult want = oracleReplay(job, cfg);
+    ASSERT_EQ(got.error, want.error) << what;
+    EXPECT_EQ(got.stats, want.stats) << what;
+    EXPECT_EQ(got.execCounts, want.execCounts) << what;
+    EXPECT_EQ(got.salvaged, want.salvaged) << what;
+    EXPECT_EQ(got.salvageBytesDropped, want.salvageBytesDropped) << what;
+}
+
+/** A workload's automaton and its stream in all three containers. */
+struct WorkloadLogs
+{
+    std::string name;
+    std::shared_ptr<const Tea> tea;
+    std::shared_ptr<const CompiledTea> automaton;
+    std::vector<uint8_t> logs[3]; ///< v1 raw, v2 delta, v2 elided
+};
+
+const std::vector<WorkloadLogs> &
+workloadLogs()
+{
+    static const std::vector<WorkloadLogs> all = [] {
+        std::vector<WorkloadLogs> out;
+        for (const char *name :
+             {"syn.mcf", "syn.gzip", "syn.gcc", "syn.parser"}) {
+            WorkloadLogs wl;
+            wl.name = name;
+            Workload w = Workloads::build(name, InputSize::Test);
+            DbtRuntime dbt(w.program);
+            wl.tea = std::make_shared<const Tea>(
+                buildTea(dbt.record("mret").traces));
+            wl.automaton = CompiledTea::compile(wl.tea);
+            TraceLogOptions opts[3];
+            opts[0].version = TraceLogFormat::kVersionV1;
+            opts[2].elideWith = wl.automaton;
+            TraceLogWriter v1(&wl.logs[0], opts[0]);
+            TraceLogWriter delta(&wl.logs[1], opts[1]);
+            TraceLogWriter elided(&wl.logs[2], opts[2]);
+            Machine m(w.program);
+            BlockTracker tracker(
+                w.program,
+                [&](const BlockTransition &tr) {
+                    v1.append(tr);
+                    delta.append(tr);
+                    elided.append(tr);
+                },
+                /*rep_per_iteration=*/false, /*collect_blocks=*/false);
+            m.runHooked([&](const EdgeEvent &ev) { tracker.onEdge(ev); },
+                        false);
+            v1.finish();
+            delta.finish();
+            elided.finish();
+            out.push_back(std::move(wl));
+        }
+        return out;
+    }();
+    return all;
+}
+
+/** The four {useGlobalBTree, useLocalCache} modes of the compiled
+ *  kernel. */
+std::vector<LookupConfig>
+compiledModes()
+{
+    std::vector<LookupConfig> modes;
+    for (bool global : {false, true}) {
+        for (bool local : {false, true}) {
+            LookupConfig cfg;
+            cfg.useGlobalBTree = global;
+            cfg.useLocalCache = local;
+            modes.push_back(cfg);
+        }
+    }
+    return modes;
+}
+
+TEST(FusedReplay, MatchesTheOracleOnEveryEncodingAndLookupMode)
+{
+    const char *encName[3] = {"v1", "delta", "elided"};
+    for (const WorkloadLogs &wl : workloadLogs()) {
+        ASSERT_GT(inspectTraceLog(wl.logs[2].data(), wl.logs[2].size())
+                      .elidedRecords,
+                  0u)
+            << wl.name;
+        for (const LookupConfig &cfg : compiledModes()) {
+            for (int enc = 0; enc < 3; ++enc) {
+                std::string what = wl.name + " " + encName[enc] +
+                                   " global=" +
+                                   std::to_string(cfg.useGlobalBTree) +
+                                   " local=" +
+                                   std::to_string(cfg.useLocalCache);
+                ReplayJob job{wl.tea, "", &wl.logs[enc], wl.automaton};
+                expectSameAsOracle(job, cfg, what);
+                // Store-resident images replay with no Tea at all.
+                ReplayJob teaLess{nullptr, "", &wl.logs[enc],
+                                  wl.automaton};
+                expectSameAsOracle(teaLess, cfg, what + " tea-less");
+            }
+        }
+        // The reference kernel's counters are the contract the fused
+        // path ultimately answers to.
+        LookupConfig reference;
+        reference.useCompiled = false;
+        ReplayJob job{wl.tea, "", &wl.logs[2], wl.automaton};
+        StreamResult ref = runReplayJob(job, reference);
+        StreamResult fused = runReplayJob(job, LookupConfig{});
+        ASSERT_TRUE(ref.ok() && fused.ok()) << wl.name;
+        EXPECT_EQ(fused.stats, ref.stats) << wl.name;
+        EXPECT_EQ(fused.execCounts, ref.execCounts) << wl.name;
+    }
+}
+
+/** The first `n` records of the elided sample's stream as a small v2
+ *  log, elided or delta (two chunks for n > kChunkRecords). */
+std::vector<uint8_t>
+samplePrefixLog(size_t n, bool elide)
+{
+    const ElidedSample &s = elidedSample();
+    std::vector<uint8_t> bytes;
+    TraceLogOptions opts;
+    if (elide)
+        opts.elideWith = s.automaton;
+    TraceLogWriter w(&bytes, opts);
+    for (size_t i = 0; i < n && i < s.live.size(); ++i)
+        w.append(s.live[i]);
+    w.finish();
+    return bytes;
+}
+
+/** One v2 chunk frame of a well-formed log, located by byte offset. */
+struct FrameAt
+{
+    size_t head;      ///< record count
+    uint32_t records;
+    uint8_t encoding;
+    size_t payload;   ///< first payload byte
+    size_t len;       ///< payload bytes
+};
+
+std::vector<FrameAt>
+v2Frames(const std::vector<uint8_t> &log)
+{
+    auto rd32 = [&](size_t at) {
+        return uint32_t(log[at]) | (uint32_t(log[at + 1]) << 8) |
+               (uint32_t(log[at + 2]) << 16) | (uint32_t(log[at + 3]) << 24);
+    };
+    std::vector<FrameAt> frames;
+    for (size_t head = 8; uint32_t records = rd32(head);) {
+        FrameAt f{head, records, log[head + 4], head + 9, rd32(head + 5)};
+        frames.push_back(f);
+        head = f.payload + f.len + 4;
+    }
+    return frames;
+}
+
+/** Recompute a damaged v2 frame's CRC so only the codec can object. */
+void
+reseal(std::vector<uint8_t> &log, const FrameAt &f)
+{
+    uint32_t crc = crc32(log.data() + f.head, 9 + f.len);
+    for (int b = 0; b < 4; ++b)
+        log[f.payload + f.len + b] = static_cast<uint8_t>(crc >> (8 * b));
+}
+
+/**
+ * Every single-bit flip of every elided chunk's bitset, resealed: only
+ * the codec (the edge-existence check, the dictionary, the
+ * payload-length rule) can reject these.
+ */
+std::vector<std::vector<uint8_t>>
+forgedBitsetFlips(const std::vector<uint8_t> &good)
+{
+    std::vector<std::vector<uint8_t>> out;
+    for (const FrameAt &f : v2Frames(good)) {
+        if (f.encoding != static_cast<uint8_t>(ChunkEncoding::Elided))
+            continue;
+        for (uint32_t bit = 0; bit < f.records; ++bit) {
+            auto bad = good;
+            bad[f.payload + bit / 8] ^=
+                static_cast<uint8_t>(1u << (bit % 8));
+            reseal(bad, f);
+            out.push_back(std::move(bad));
+        }
+    }
+    return out;
+}
+
+/**
+ * Random payload byte rewrites behind a resealed CRC. A rewritten
+ * start delta names a block the automaton is not in — a desync the
+ * consistency check sees — while the shifted varints behind it make
+ * the chunk fail to decode further on.
+ */
+std::vector<std::vector<uint8_t>>
+forgedPayloadRewrites(const std::vector<uint8_t> &good, uint64_t seed,
+                      size_t rounds)
+{
+    std::vector<FrameAt> frames = v2Frames(good);
+    Xorshift64Star rng(seed);
+    std::vector<std::vector<uint8_t>> out;
+    for (size_t round = 0; round < rounds; ++round) {
+        const FrameAt &f = frames[rng.nextBelow(frames.size())];
+        auto bad = good;
+        bad[f.payload + rng.nextBelow(f.len)] =
+            static_cast<uint8_t>(rng.next());
+        reseal(bad, f);
+        out.push_back(std::move(bad));
+    }
+    return out;
+}
+
+/** One log of the strict corruption corpus. */
+struct CorpusCase
+{
+    std::string what;
+    std::vector<uint8_t> bytes;
+};
+
+std::vector<CorpusCase>
+strictCorpus()
+{
+    std::vector<CorpusCase> corpus;
+    corpus.push_back({"forged overfull chunk", forgedOverfullChunk()});
+    const size_t n = TraceLogFormat::kChunkRecords + 500;
+    const auto elided = samplePrefixLog(n, true);
+    const auto delta = samplePrefixLog(n, false);
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> bases;
+    for (uint32_t version : kVersions)
+        bases.emplace_back("v" + std::to_string(version),
+                           sampleLog(300, version));
+    bases.emplace_back("elided", elided);
+    for (const auto &[name, good] : bases) {
+        corpus.push_back({name + " intact", good});
+        for (size_t keep = 0; keep < good.size(); ++keep)
+            corpus.push_back(
+                {name + " truncated at " + std::to_string(keep),
+                 std::vector<uint8_t>(good.begin(),
+                                      good.begin() +
+                                          static_cast<long>(keep))});
+        for (uint64_t seed : {101, 202, 303, 404}) {
+            Xorshift64Star rng(seed + good.size());
+            for (int round = 0; round < 200; ++round) {
+                auto bad = good;
+                int flips = 1 + static_cast<int>(rng.nextBelow(3));
+                for (int f = 0; f < flips; ++f) {
+                    size_t pos = rng.nextBelow(bad.size());
+                    bad[pos] = static_cast<uint8_t>(rng.next());
+                }
+                corpus.push_back({name + " flips seed " +
+                                      std::to_string(seed) + " round " +
+                                      std::to_string(round),
+                                  std::move(bad)});
+            }
+        }
+    }
+    size_t k = 0;
+    for (auto &bad : forgedBitsetFlips(elided))
+        corpus.push_back(
+            {"forged bitset flip " + std::to_string(k++), std::move(bad)});
+    k = 0;
+    uint64_t seed = 909;
+    for (const auto *good : {&delta, &elided})
+        for (auto &bad : forgedPayloadRewrites(*good, seed++, 400))
+            corpus.push_back({"forged payload rewrite " +
+                                  std::to_string(k++),
+                              std::move(bad)});
+    return corpus;
+}
+
+TEST(FusedReplay, AgreesWithTheOracleOnTheStrictCorruptionCorpus)
+{
+    const ElidedSample &s = elidedSample();
+    size_t rejected = 0, forgedRejected = 0, forged = 0;
+    for (const CorpusCase &c : strictCorpus()) {
+        ReplayJob job{s.tea, "", &c.bytes, s.automaton};
+        expectSameAsOracle(job, LookupConfig{}, c.what);
+        bool ok = runReplayJob(job, LookupConfig{}).ok();
+        rejected += !ok;
+        if (c.what.rfind("forged bitset", 0) == 0) {
+            ++forged;
+            forgedRejected += !ok;
+        }
+    }
+    EXPECT_GT(rejected, 5000u);
+    // A set bit the automaton cannot predict is fatal even behind a
+    // valid CRC; flips it can predict desynchronize the explicit
+    // records behind them, so nearly every forgery must fail.
+    EXPECT_GT(forged, TraceLogFormat::kChunkRecords);
+    EXPECT_GT(forgedRejected, forged * 9 / 10);
+}
+
+TEST(FusedReplay, ConsistencyChecksNeverPanicWhereTheOracleFails)
+{
+    // checkConsistency jobs keep the two-pass path, so a chunk that
+    // fails to decode is rejected as a FatalError before any of its
+    // records reaches the desync check — exactly like the oracle.
+    const ElidedSample &s = elidedSample();
+    LookupConfig cfg;
+    cfg.checkConsistency = true;
+    auto verdict = [](auto &&replay) -> std::string {
+        try {
+            StreamResult r = replay();
+            return r.ok() ? "ok" : "error: " + r.error;
+        } catch (const PanicError &e) {
+            return std::string("panic: ") + e.what();
+        }
+    };
+    size_t errors = 0;
+    for (const CorpusCase &c : strictCorpus()) {
+        ReplayJob job{s.tea, "", &c.bytes, s.automaton};
+        std::string want =
+            verdict([&] { return oracleReplay(job, cfg); });
+        EXPECT_EQ(verdict([&] { return runReplayJob(job, cfg); }), want)
+            << c.what;
+        errors += want.rfind("error", 0) == 0;
+    }
+    EXPECT_GT(errors, 5000u);
+}
+
+TEST(FusedReplay, SalvageJobsStopAtTheLastGoodChunk)
+{
+    // Salvage keeps the two-pass path: every torn prefix replays
+    // exactly the records of its complete chunks.
+    const ElidedSample &s = elidedSample();
+    const auto good =
+        samplePrefixLog(2 * TraceLogFormat::kChunkRecords + 7, true);
+    for (size_t keep = 8; keep < good.size(); keep += 7) {
+        std::vector<uint8_t> torn(good.begin(),
+                                  good.begin() + static_cast<long>(keep));
+        ReplayJob job{s.tea, "", &torn, s.automaton};
+        job.salvage = true;
+        expectSameAsOracle(job, LookupConfig{},
+                           "salvage at " + std::to_string(keep));
     }
 }
 
