@@ -1,32 +1,24 @@
 /**
  * @file
  * Networked replay throughput: loopback streams/sec at 1, 2, 4, ...
- * concurrent clients against a TeaServer, on both connection engines.
+ * concurrent clients against a TeaServer.
  *
  * Records one `syn.gzip` trace log, uploads the automaton once, then
- * replays a fixed batch of streams through N client threads (server
- * sized to N workers). Every configuration is run twice — once on the
- * blocking thread-per-connection core and once on the epoll event-loop
- * core — and at every scale the client-side results are checked
+ * replays a fixed batch of streams through N client threads against a
+ * server whose pool has the default size (one worker per hardware
+ * thread). At every scale the client-side results are checked
  * bit-identical to a local ReplayService::runBatch over the same jobs:
  * per-stream stats, per-stream profiles, and the merged per-TBB
  * profile — the wire adds framing, never drift.
  *
- * The `held` column is the event-loop core's headline: that many extra
+ * The `held` column is the event loop's headline: that many extra
  * connections are opened and parked idle on the server for the whole
- * batch. On the loop core an idle connection costs a few hundred bytes
- * and no thread, so the batch runs at full speed with 512+ spectators;
- * the blocking core would park one pool worker per held connection and
- * deadlock the batch, so held rows are loop-only by construction.
+ * batch. An idle connection costs a few hundred bytes and no thread,
+ * so the batch runs at full speed with 512+ spectators.
  *
  * Note the speedup column measures the *host*: on a single-core
  * container every client count necessarily lands near 1.0x, and the
  * delta between net and local streams/sec is the protocol cost.
- *
- * `--min-loop-ratio X` turns the core comparison into a CI gate: the
- * event-loop core's streams/sec at 8 clients must be at least X times
- * the blocking core's, so the readiness loop can never quietly become
- * slower than the engine it replaces.
  *
  * The wire KB/req column counts both directions of every client's
  * socket, divided by the number of replay requests. A final section
@@ -35,7 +27,7 @@
  * X` turns the v1/v2 ratio into a CI gate, failing the run when the v2
  * upload stops being at least X times smaller on the wire.
  *
- * The scrape rows re-run the 8-client event-loop configuration with a
+ * The scrape rows re-run the 8-client configuration with a
  * concurrent HTTP scraper hammering GET /metrics on the same listener
  * at 1 Hz — the Prometheus-shaped workload the exposition endpoint
  * invites. The scraper starts with the batch, so every scraped batch
@@ -50,13 +42,13 @@
  * alongside parked connections, not the accept backlog draining.
  *
  * The latency rows time 200 single-client, back-to-back REPLAY and
- * RECORD requests on each core and report their p50/p99. A request
+ * RECORD requests and report their p50/p99. A request
  * that waits for Linux's delayed-ACK timer reads 40 ms or more there.
  *
  * `--max-remote-ratio X` gates the wire's overhead: a 1-client remote
  * batch of the streams, over the same batch run locally through
  * runReplayJob, measured as the median of 25 interleaved local/remote
- * pairs, must stay at most X on both cores. A request stalled on a
+ * pairs, must stay at most X. A request stalled on a
  * kernel timer drives the ratio to ~100x. Every remote reply in these
  * rows is checked against the local batch too.
  *
@@ -64,8 +56,7 @@
  * is non-zero if any of them failed.
  *
  * Usage: net_throughput [--size test|train|ref] [--streams N]
- *                       [--held-open N] [--min-loop-ratio X]
- *                       [--min-wire-compression X]
+ *                       [--held-open N] [--min-wire-compression X]
  *                       [--min-scrape-ratio X]
  *                       [--max-remote-ratio X]
  */
@@ -75,7 +66,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -155,12 +145,6 @@ waitForSessions(const TeaServer &server, size_t n)
     return false;
 }
 
-const char *
-coreName(ServerCore core)
-{
-    return core == ServerCore::Blocking ? "blocking" : "event-loop";
-}
-
 /** One blocking GET against the wire listener; returns the response. */
 std::string
 httpGet(const std::string &endpoint, const std::string &target)
@@ -189,7 +173,6 @@ main(int argc, char **argv)
     size_t streams = 32;
     size_t held_open = 512;
     double min_wire_compression = 0.0;
-    double min_loop_ratio = 0.0;
     double min_scrape_ratio = 0.0;
     double max_remote_ratio = 0.0;
     for (int i = 1; i < argc; ++i) {
@@ -197,8 +180,6 @@ main(int argc, char **argv)
             streams = static_cast<size_t>(std::atoi(argv[i + 1]));
         if (!std::strcmp(argv[i], "--held-open") && i + 1 < argc)
             held_open = static_cast<size_t>(std::atoi(argv[i + 1]));
-        if (!std::strcmp(argv[i], "--min-loop-ratio") && i + 1 < argc)
-            min_loop_ratio = std::atof(argv[i + 1]);
         if (!std::strcmp(argv[i], "--min-wire-compression") &&
             i + 1 < argc)
             min_wire_compression = std::atof(argv[i + 1]);
@@ -237,25 +218,20 @@ main(int argc, char **argv)
                 streams, static_cast<double>(log.size()) / (1 << 20),
                 hw, localMs);
 
-    TextTable table({"core", "clients", "held", "batch ms", "streams/s",
+    TextTable table({"scrape", "clients", "held", "batch ms", "streams/s",
                      "speedup", "wire KB/req"});
-    // Speedup baselines and the 8-client gate inputs, per core.
-    double base_sps[2] = {0.0, 0.0};
-    std::map<unsigned, double> sps_by_clients[2];
+    double base_sps = 0.0; // the speedup column's 1-client baseline
 
     // One measured configuration: `clients` threads splitting the
-    // batch round-robin against a `core` server, with `heldOpen` extra
+    // batch round-robin against a fresh server, with `heldOpen` extra
     // idle connections parked on it and (when `scrape` is set) a
     // concurrent 1 Hz HTTP /metrics scraper on the same listener for
     // the duration. Returns streams/sec, or a negative value after
     // printing the failure; adds a table row when `row` is set.
-    auto runScale = [&](ServerCore core, unsigned clients,
-                        size_t heldOpen, bool scrape,
+    auto runScale = [&](unsigned clients, size_t heldOpen, bool scrape,
                         bool row) -> double {
         ServerConfig cfg;
         cfg.endpoint = "tcp:127.0.0.1:0";
-        cfg.workers = clients;
-        cfg.core = core;
         TeaServer server(cfg);
         server.start();
         std::string ep = server.endpoint();
@@ -371,37 +347,32 @@ main(int argc, char **argv)
                     reference.streams[s].execCounts) {
                 std::fprintf(stderr,
                              "stream %zu diverges from the local batch "
-                             "(%s core, %u clients)\n",
-                             s, coreName(core), clients);
+                             "(%u clients)\n",
+                             s, clients);
                 return -1.0;
             }
             for (size_t i = 0; i < results[s].execCounts.size(); ++i)
                 merged[i] += results[s].execCounts[i];
         }
         if (merged != reference.mergedExecCounts) {
-            std::fprintf(stderr,
-                         "merged profile diverges (%s core, %u "
-                         "clients)\n",
-                         coreName(core), clients);
+            std::fprintf(stderr, "merged profile diverges (%u clients)\n",
+                         clients);
             return -1.0;
         }
 
         double sps = ms > 0 ? 1e3 * static_cast<double>(streams) / ms : 0;
-        int ci = core == ServerCore::Blocking ? 0 : 1;
         if (clients == 1 && heldOpen == 0 && !scrape)
-            base_sps[ci] = sps;
+            base_sps = sps;
         if (!row)
             return sps;
         uint64_t wire_total = 0;
         for (uint64_t b : wire)
             wire_total += b;
-        table.addRow({scrape ? "loop+scrape" : coreName(core),
-                      std::to_string(clients),
+        table.addRow({scrape ? "1 Hz" : "-", std::to_string(clients),
                       std::to_string(heldOpen), TextTable::num(ms, 1),
                       TextTable::num(sps, 1),
-                      TextTable::num(
-                          base_sps[ci] > 0 ? sps / base_sps[ci] : 0.0,
-                          2),
+                      TextTable::num(base_sps > 0 ? sps / base_sps : 0.0,
+                                     2),
                       TextTable::num(static_cast<double>(wire_total) /
                                          static_cast<double>(streams) /
                                          1024.0,
@@ -409,35 +380,23 @@ main(int argc, char **argv)
         return sps;
     };
 
-    // The scaling sweep runs to at least 8 clients on both cores so
-    // the --min-loop-ratio gate always has its comparison point.
-    for (int ci = 0; ci < 2; ++ci) {
-        ServerCore core =
-            ci == 0 ? ServerCore::Blocking : ServerCore::EventLoop;
-        for (unsigned clients = 1; clients <= std::max(8u, hw);
-             clients *= 2) {
-            double sps = runScale(core, clients, 0, false, true);
-            if (sps < 0)
-                return 1;
-            sps_by_clients[ci][clients] = sps;
-        }
-    }
+    // The scaling sweep runs to at least 8 clients, the scale of the
+    // held-open and scraped rows below.
+    for (unsigned clients = 1; clients <= std::max(8u, hw); clients *= 2)
+        if (runScale(clients, 0, false, true) < 0)
+            return 1;
 
-    // The held-open pile: loop core only — the blocking core would
-    // park one worker per idle connection and starve the batch.
-    if (held_open > 0 &&
-        runScale(ServerCore::EventLoop, 8, held_open, false, true) < 0)
+    // The held-open pile: 8 clients beside the parked connections.
+    if (held_open > 0 && runScale(8, held_open, false, true) < 0)
         return 1;
 
-    // The scraped rows: the same 8-client event-loop batch without and
-    // with the 1 Hz /metrics scraper sharing the listener, interleaved
-    // (loop core only — the blocking core has no HTTP path). The first
-    // scraped batch is the table's loop+scrape row.
+    // The scraped rows: the same 8-client batch without and with the
+    // 1 Hz /metrics scraper sharing the listener, interleaved. The
+    // first scraped batch is the table's scraped row.
     std::vector<double> scrape_ratios;
     for (size_t rep = 0; rep < kScrapePairs; ++rep) {
-        double plain = runScale(ServerCore::EventLoop, 8, 0, false, false);
-        double scraped =
-            runScale(ServerCore::EventLoop, 8, 0, true, rep == 0);
+        double plain = runScale(8, 0, false, false);
+        double scraped = runScale(8, 0, true, rep == 0);
         if (plain < 0 || scraped < 0)
             return 1;
         scrape_ratios.push_back(plain > 0 ? scraped / plain : 0.0);
@@ -451,22 +410,6 @@ main(int argc, char **argv)
     // Every gate below is evaluated and reported; any FAIL sets the
     // exit status, none cuts the others off.
     int status = 0;
-    double ratio8 = sps_by_clients[0][8] > 0
-                        ? sps_by_clients[1][8] / sps_by_clients[0][8]
-                        : 0.0;
-    std::printf("event-loop vs blocking at 8 clients: %.1f vs %.1f "
-                "streams/s (%.2fx)\n",
-                sps_by_clients[1][8], sps_by_clients[0][8], ratio8);
-    if (min_loop_ratio > 0 && ratio8 < min_loop_ratio) {
-        std::printf("FAIL: event-loop core only %.2fx of the blocking "
-                    "core at 8 clients, gate requires %.2fx\n",
-                    ratio8, min_loop_ratio);
-        status = 1;
-    } else if (min_loop_ratio > 0) {
-        std::printf("PASS: event-loop/blocking ratio %.2fx >= %.2fx\n",
-                    ratio8, min_loop_ratio);
-    }
-
     double scrape_ratio = percentile(scrape_ratios, 50);
     std::printf("scraped vs unscraped at 8 clients: %.2fx median of %zu "
                 "interleaved batch pairs under a 1 Hz /metrics scraper "
@@ -486,8 +429,8 @@ main(int argc, char **argv)
                     min_scrape_ratio);
     }
 
-    // Single-client work on each core over one persistent connection:
-    // the remote-over-local batch ratio, then the latency rows
+    // Single-client work over one persistent connection: the
+    // remote-over-local batch ratio, then the latency rows
     // (back-to-back REPLAYs, then RECORDs into fresh names; last, so
     // the recorded automata are not on the server for the rest). The
     // ratio takes local/remote pairs so both sides see the same host
@@ -498,16 +441,13 @@ main(int argc, char **argv)
     auto compiled = CompiledTea::compile(tea);
     for (ReplayJob &j : localJobs)
         j.compiled = compiled;
-    TextTable latency({"verb", "core", "requests", "p50 ms", "p99 ms"});
-    double worst_ratio = 0.0;
-    for (ServerCore core : {ServerCore::Blocking, ServerCore::EventLoop}) {
+    std::vector<double> replayMs, recordMs, localRunMs, remoteMs, ratios;
+    {
         ServerConfig cfg;
         cfg.endpoint = "tcp:127.0.0.1:0";
         cfg.workers = 1;
-        cfg.core = core;
         TeaServer server(cfg);
         server.start();
-        std::vector<double> replayMs, recordMs, localRunMs, remoteMs, ratios;
         try {
             TeaClient client = TeaClient::connect(server.endpoint());
             client.putAutomaton("gzip", *tea);
@@ -532,8 +472,8 @@ main(int argc, char **argv)
                             reference.streams[s].execCounts) {
                         std::fprintf(stderr,
                                      "remote-ratio stream %zu diverges "
-                                     "from the local batch (%s core)\n",
-                                     s, coreName(core));
+                                     "from the local batch\n",
+                                     s);
                         return 1;
                     }
                 ratios.push_back(remoteMs.back() / localRunMs.back());
@@ -560,38 +500,34 @@ main(int argc, char **argv)
                 }
             }
         } catch (const FatalError &e) {
-            std::fprintf(stderr, "single-client runs (%s core): %s\n",
-                         coreName(core), e.what());
+            std::fprintf(stderr, "single-client runs: %s\n", e.what());
             return 1;
         }
         server.stop();
-        latency.addRow({"REPLAY", coreName(core),
-                        std::to_string(replayMs.size()),
-                        TextTable::num(percentile(replayMs, 50), 3),
-                        TextTable::num(percentile(replayMs, 99), 3)});
-        latency.addRow({"RECORD", coreName(core),
-                        std::to_string(recordMs.size()),
-                        TextTable::num(percentile(recordMs, 50), 3),
-                        TextTable::num(percentile(recordMs, 99), 3)});
-        double ratio = percentile(ratios, 50);
-        worst_ratio = std::max(worst_ratio, ratio);
-        std::printf("remote vs local 1-client batch (%s core): %.2f vs "
-                    "%.2f ms median of %zu pairs, ratio %.2fx (pairs "
-                    "%.2f-%.2fx)\n",
-                    coreName(core), percentile(remoteMs, 50),
-                    percentile(localRunMs, 50), kRemotePairs, ratio,
-                    *std::min_element(ratios.begin(), ratios.end()),
-                    *std::max_element(ratios.begin(), ratios.end()));
     }
+    TextTable latency({"verb", "requests", "p50 ms", "p99 ms"});
+    latency.addRow({"REPLAY", std::to_string(replayMs.size()),
+                    TextTable::num(percentile(replayMs, 50), 3),
+                    TextTable::num(percentile(replayMs, 99), 3)});
+    latency.addRow({"RECORD", std::to_string(recordMs.size()),
+                    TextTable::num(percentile(recordMs, 50), 3),
+                    TextTable::num(percentile(recordMs, 99), 3)});
+    double remote_ratio = percentile(ratios, 50);
+    std::printf("remote vs local 1-client batch: %.2f vs %.2f ms median "
+                "of %zu pairs, ratio %.2fx (pairs %.2f-%.2fx)\n",
+                percentile(remoteMs, 50), percentile(localRunMs, 50),
+                kRemotePairs, remote_ratio,
+                *std::min_element(ratios.begin(), ratios.end()),
+                *std::max_element(ratios.begin(), ratios.end()));
     std::fputs(latency.render().c_str(), stdout);
-    if (max_remote_ratio > 0 && worst_ratio > max_remote_ratio) {
+    if (max_remote_ratio > 0 && remote_ratio > max_remote_ratio) {
         std::printf("FAIL: remote batch %.2fx the local batch, gate "
                     "allows %.2fx\n",
-                    worst_ratio, max_remote_ratio);
+                    remote_ratio, max_remote_ratio);
         status = 1;
     } else if (max_remote_ratio > 0) {
         std::printf("PASS: remote/local ratio %.2fx <= %.2fx\n",
-                    worst_ratio, max_remote_ratio);
+                    remote_ratio, max_remote_ratio);
     }
 
     // Wire cost of the log encoding: the same stream uploaded from a

@@ -21,7 +21,8 @@
  * ns/transition per encoding. --min-compression X gates the v1/v2
  * size ratio (CI pins it at 2); --max-decode-ratio Y gates v2 decode
  * time against v1 (CI pins it at 1.0 — the batch kernel must not be
- * slower than the raw parse).
+ * slower than the raw parse), as the median ratio of interleaved
+ * v1/v2 pairs.
  *
  * The fused-kernel section times runReplayJob end to end — frame
  * parse, CRC, decode and replay — in ns/record over the delta and the
@@ -37,7 +38,8 @@
  * applies (kFeedBatch-sliced feeds, clock stamps at slice boundaries,
  * per-batch counter bumps, and the per-automaton labeled series the
  * session resolves once per stream) and reports the ns/transition
- * delta against the bare kernel. --max-overhead X fails the run when
+ * delta against the bare kernel, as the median ratio of interleaved
+ * bare/instrumented pairs. --max-overhead X fails the run when
  * metrics add more than X percent — CI pins it at 3.
  *
  * Note the speedup column measures the *host*: on a single-core
@@ -227,28 +229,71 @@ decodeNsPerTransition(const std::vector<uint8_t> &bytes,
     return records ? best * 1e6 / static_cast<double>(records) : 0.0;
 }
 
-/** Fused/two-pass pairs behind each end-to-end row, and the passes
- *  over every stream that make one side of a pair. */
+/**
+ * Interleaved pairs behind each end-to-end row, and the passes over
+ * every stream that make one side of a pair.
+ */
 constexpr size_t kFusedPairs = 15;
 constexpr int kPassesPerSample = 4;
 
-/** One end-to-end row: medians and the pair ratios' spread. */
-struct FusedRow
+/**
+ * Interleaved pairs behind the overhead and decode-ratio gates, and
+ * the passes over every stream a sample takes the minimum of. One pass
+ * over the test-size logs takes well under a millisecond, so a single
+ * pass is noise, and the gated effects are a few percent.
+ */
+constexpr size_t kGatePairs = 31;
+constexpr int kGateReps = 16;
+
+/** Two timed sides: medians and the per-pair ratios' spread. */
+struct PairedRow
 {
-    double fusedNs = 0;   ///< median ns/record, fused
-    double twoPassNs = 0; ///< median ns/record, two-pass
-    double speedup = 0;   ///< median of the per-pair two-pass/fused
-    double speedupQ1 = 0, speedupQ3 = 0; ///< quartiles of the same
+    double a = 0;     ///< median sample of side a
+    double b = 0;     ///< median sample of side b
+    double ratio = 0; ///< median of the per-pair ratio b/a
+    double ratioQ1 = 0, ratioQ3 = 0; ///< quartiles of the same
 };
 
 /**
- * runReplayJob ns/record over `jobs`, fused against two-pass (the same
- * jobs in salvage mode), as `kFusedPairs` interleaved pairs: the side
- * that runs first alternates, so host drift lands on both. Returns
- * false when the two paths disagree on any stream's stats or profile.
+ * `pairs` interleaved samples of two sides: the side that runs first
+ * alternates, so host drift lands on both, and one slow pair cannot
+ * move the median of the per-pair ratios.
+ */
+template <typename SampleA, typename SampleB>
+PairedRow
+interleavedPairs(size_t pairs, SampleA sampleA, SampleB sampleB)
+{
+    std::vector<double> as, bs, ratio;
+    for (size_t pair = 0; pair < pairs; ++pair) {
+        double a, b;
+        if (pair % 2 == 0) {
+            a = sampleA();
+            b = sampleB();
+        } else {
+            b = sampleB();
+            a = sampleA();
+        }
+        as.push_back(a);
+        bs.push_back(b);
+        ratio.push_back(b / a);
+    }
+    PairedRow row;
+    row.a = percentile(as, 50);
+    row.b = percentile(bs, 50);
+    row.ratio = percentile(ratio, 50);
+    row.ratioQ1 = percentile(ratio, 25);
+    row.ratioQ3 = percentile(ratio, 75);
+    return row;
+}
+
+/**
+ * runReplayJob ns/record over `jobs`, fused (side a) against two-pass
+ * (side b: the same jobs in salvage mode), so the ratio is the fused
+ * speedup. Returns false when the two paths disagree on any stream's
+ * stats or profile.
  */
 bool
-fusedVsTwoPass(const std::vector<ReplayJob> &jobs, FusedRow &row)
+fusedVsTwoPass(const std::vector<ReplayJob> &jobs, PairedRow &row)
 {
     std::vector<ReplayJob> twoPass = jobs;
     for (ReplayJob &job : twoPass)
@@ -270,25 +315,9 @@ fusedVsTwoPass(const std::vector<ReplayJob> &jobs, FusedRow &row)
         return timer.elapsedMillis() * 1e6 /
                static_cast<double>(records * kPassesPerSample);
     };
-    std::vector<double> fused, two, ratio;
-    for (size_t pair = 0; pair < kFusedPairs; ++pair) {
-        double f, t;
-        if (pair % 2 == 0) {
-            f = sampleNs(jobs);
-            t = sampleNs(twoPass);
-        } else {
-            t = sampleNs(twoPass);
-            f = sampleNs(jobs);
-        }
-        fused.push_back(f);
-        two.push_back(t);
-        ratio.push_back(t / f);
-    }
-    row.fusedNs = percentile(fused, 50);
-    row.twoPassNs = percentile(two, 50);
-    row.speedup = percentile(ratio, 50);
-    row.speedupQ1 = percentile(ratio, 25);
-    row.speedupQ3 = percentile(ratio, 75);
+    row = interleavedPairs(
+        kFusedPairs, [&] { return sampleNs(jobs); },
+        [&] { return sampleNs(twoPass); });
     return true;
 }
 
@@ -389,15 +418,25 @@ main(int argc, char **argv)
                 compiled_ns, reference_ns, kernel_speedup);
 
     // Observability guard: the compiled kernel with the service's
-    // metrics/timing instrumentation applied, against the bare kernel.
-    double instrumented_ns =
-        instrumentedNsPerTransition(decoded, compiled_cfg);
-    double overhead_pct =
-        compiled_ns > 0 ? (instrumented_ns / compiled_ns - 1.0) * 100.0
-                        : 0.0;
+    // metrics/timing instrumentation applied (side b), against the bare
+    // kernel (side a).
+    PairedRow instrumented = interleavedPairs(
+        kGatePairs,
+        [&] {
+            return kernelNsPerTransition(decoded, compiled_cfg, kGateReps);
+        },
+        [&] {
+            return instrumentedNsPerTransition(decoded, compiled_cfg,
+                                               kGateReps);
+        });
+    double instrumented_ns = instrumented.b;
+    double overhead_pct = (instrumented.ratio - 1.0) * 100.0;
     std::printf("instrumented ns/transition: %.2f (metrics overhead "
-                "%+.2f%%)\n",
-                instrumented_ns, overhead_pct);
+                "%+.2f%%, median of %zu interleaved bare/instrumented "
+                "pairs, spread %+.2f%% to %+.2f%%)\n",
+                instrumented_ns, overhead_pct, kGatePairs,
+                (instrumented.ratioQ1 - 1.0) * 100.0,
+                (instrumented.ratioQ3 - 1.0) * 100.0);
 
     // Trace-log codec: the same streams in all three containers, each
     // verified to decode back bit-identically before it is timed.
@@ -421,16 +460,31 @@ main(int argc, char **argv)
     for (const DecodedStream &s : decoded)
         total_records += s.transitions.size();
     const char *enc_name[3] = {"v1 raw", "v2 delta", "v2 elided"};
+    auto encoded = [&](int enc, size_t k) -> const std::vector<uint8_t> & {
+        return enc == 0 ? logs_v1[k] : enc == 1 ? logs[k] : logs_elided[k];
+    };
+    auto automatonFor = [&](int enc, size_t k) {
+        return enc == 2 ? compiled[k].get() : nullptr;
+    };
+    // Decode ns/record of one encoding over every stream, each stream
+    // the minimum of `reps` drains, weighted by its record count.
+    auto decodeNs = [&](int enc, int reps) {
+        double weighted_ns = 0;
+        for (size_t k = 0; k < names.size(); ++k)
+            weighted_ns +=
+                decodeNsPerTransition(encoded(enc, k),
+                                      automatonFor(enc, k), reps) *
+                static_cast<double>(decoded[k].transitions.size());
+        return total_records
+                   ? weighted_ns / static_cast<double>(total_records)
+                   : 0.0;
+    };
     uint64_t enc_bytes[3] = {0, 0, 0};
     double enc_ns[3] = {0, 0, 0};
     for (int enc = 0; enc < 3; ++enc) {
-        double weighted_ns = 0;
         for (size_t k = 0; k < names.size(); ++k) {
-            const std::vector<uint8_t> &b = enc == 0   ? logs_v1[k]
-                                            : enc == 1 ? logs[k]
-                                                       : logs_elided[k];
-            const CompiledTea *aut =
-                enc == 2 ? compiled[k].get() : nullptr;
+            const std::vector<uint8_t> &b = encoded(enc, k);
+            const CompiledTea *aut = automatonFor(enc, k);
             std::vector<BlockTransition> back = readTraceLog(b, aut);
             const std::vector<BlockTransition> &want =
                 decoded[k].transitions;
@@ -447,14 +501,8 @@ main(int argc, char **argv)
                 return 1;
             }
             enc_bytes[enc] += b.size();
-            weighted_ns +=
-                decodeNsPerTransition(b, aut) *
-                static_cast<double>(want.size());
         }
-        enc_ns[enc] =
-            total_records
-                ? weighted_ns / static_cast<double>(total_records)
-                : 0.0;
+        enc_ns[enc] = decodeNs(enc, 5);
     }
     double compression_v2 =
         enc_bytes[1] ? static_cast<double>(enc_bytes[0]) /
@@ -464,7 +512,11 @@ main(int argc, char **argv)
         enc_bytes[2] ? static_cast<double>(enc_bytes[0]) /
                            static_cast<double>(enc_bytes[2])
                      : 0.0;
-    double decode_ratio = enc_ns[0] > 0 ? enc_ns[1] / enc_ns[0] : 0.0;
+    // The decode-ratio gate: v2 delta (side b) against v1 (side a).
+    PairedRow decode_pairs = interleavedPairs(
+        kGatePairs, [&] { return decodeNs(0, kGateReps); },
+        [&] { return decodeNs(1, kGateReps); });
+    double decode_ratio = decode_pairs.ratio;
     TextTable codec(
         {"encoding", "bytes", "B/record", "vs v1", "decode ns/rec"});
     for (int enc = 0; enc < 3; ++enc)
@@ -479,14 +531,17 @@ main(int argc, char **argv)
              TextTable::num(enc_ns[enc], 2)});
     std::fputs(codec.render().c_str(), stdout);
     std::printf("log codec: v2 %.2fx smaller than v1 (elided %.2fx), "
-                "v2 decode at %.2fx the v1 time; all three decode "
-                "bit-identically\n",
-                compression_v2, compression_elided, decode_ratio);
+                "v2 decode at %.2fx the v1 time (median of %zu "
+                "interleaved pairs, spread %.2f-%.2fx); all three "
+                "decode bit-identically\n",
+                compression_v2, compression_elided, decode_ratio,
+                kGatePairs,
+                decode_pairs.ratioQ1, decode_pairs.ratioQ3);
 
     // End to end through runReplayJob: the fused kernel against the
     // two-pass path, per encoding.
     const char *fused_name[2] = {"v2 delta", "v2 elided"};
-    FusedRow fused_rows[2];
+    PairedRow fused_rows[2];
     TextTable fused_table({"log", "fused ns/rec", "two-pass ns/rec",
                            "speedup", "pair spread (q1-q3)"});
     for (int e = 0; e < 2; ++e) {
@@ -501,12 +556,12 @@ main(int argc, char **argv)
                          "disagree\n", fused_name[e]);
             return 1;
         }
-        const FusedRow &r = fused_rows[e];
-        fused_table.addRow({fused_name[e], TextTable::num(r.fusedNs, 2),
-                            TextTable::num(r.twoPassNs, 2),
-                            TextTable::num(r.speedup, 2) + "x",
-                            TextTable::num(r.speedupQ1, 2) + "-" +
-                                TextTable::num(r.speedupQ3, 2) + "x"});
+        const PairedRow &r = fused_rows[e];
+        fused_table.addRow({fused_name[e], TextTable::num(r.a, 2),
+                            TextTable::num(r.b, 2),
+                            TextTable::num(r.ratio, 2) + "x",
+                            TextTable::num(r.ratioQ1, 2) + "-" +
+                                TextTable::num(r.ratioQ3, 2) + "x"});
     }
     std::fputs(fused_table.render().c_str(), stdout);
     std::printf("runReplayJob end to end: median of %zu interleaved "
@@ -601,6 +656,10 @@ main(int argc, char **argv)
                      instrumented_ns);
         std::fprintf(f, "  \"metricsOverheadPct\": %.4f,\n",
                      overhead_pct);
+        std::fprintf(f, "  \"metricsOverheadPctQ1\": %.4f,\n",
+                     (instrumented.ratioQ1 - 1.0) * 100.0);
+        std::fprintf(f, "  \"metricsOverheadPctQ3\": %.4f,\n",
+                     (instrumented.ratioQ3 - 1.0) * 100.0);
         std::fprintf(f, "  \"kernelSpeedup\": %.4f,\n", kernel_speedup);
         std::fprintf(f, "  \"logBytesV1\": %llu,\n",
                      static_cast<unsigned long long>(enc_bytes[0]));
@@ -616,20 +675,25 @@ main(int argc, char **argv)
         std::fprintf(f, "  \"decodeNsPerRecordElided\": %.4f,\n",
                      enc_ns[2]);
         std::fprintf(f, "  \"decodeRatioV2\": %.4f,\n", decode_ratio);
+        std::fprintf(f, "  \"decodeRatioV2Q1\": %.4f,\n",
+                     decode_pairs.ratioQ1);
+        std::fprintf(f, "  \"decodeRatioV2Q3\": %.4f,\n",
+                     decode_pairs.ratioQ3);
+        std::fprintf(f, "  \"gatePairs\": %zu,\n", kGatePairs);
         std::fprintf(f, "  \"fusedPairs\": %zu,\n", kFusedPairs);
         const char *fused_key[2] = {"Delta", "Elided"};
         for (int e = 0; e < 2; ++e) {
-            const FusedRow &r = fused_rows[e];
+            const PairedRow &r = fused_rows[e];
             std::fprintf(f, "  \"jobNsPerRecord%sFused\": %.4f,\n",
-                         fused_key[e], r.fusedNs);
+                         fused_key[e], r.a);
             std::fprintf(f, "  \"jobNsPerRecord%sTwoPass\": %.4f,\n",
-                         fused_key[e], r.twoPassNs);
+                         fused_key[e], r.b);
             std::fprintf(f, "  \"fusedSpeedup%s\": %.4f,\n",
-                         fused_key[e], r.speedup);
+                         fused_key[e], r.ratio);
             std::fprintf(f, "  \"fusedSpeedup%sQ1\": %.4f,\n",
-                         fused_key[e], r.speedupQ1);
+                         fused_key[e], r.ratioQ1);
             std::fprintf(f, "  \"fusedSpeedup%sQ3\": %.4f,\n",
-                         fused_key[e], r.speedupQ3);
+                         fused_key[e], r.ratioQ3);
         }
         std::fprintf(f, "  \"streamsPerSec\": [\n");
         for (size_t i = 0; i < worker_sps.size(); ++i)
@@ -669,11 +733,11 @@ main(int argc, char **argv)
         return 1;
     }
     if (min_fused_speedup > 0.0 &&
-        fused_rows[1].speedup < min_fused_speedup) {
+        fused_rows[1].ratio < min_fused_speedup) {
         std::fprintf(stderr,
                      "FAIL: fused replay of elided logs at %.2fx the "
                      "two-pass speed, below the required %.2fx\n",
-                     fused_rows[1].speedup, min_fused_speedup);
+                     fused_rows[1].ratio, min_fused_speedup);
         return 1;
     }
     return 0;

@@ -457,7 +457,7 @@ EventLoop::admit(Socket sock)
     }
 
     live_.fetch_add(1);
-    srv.openConn(*c, obs::monotonicNanos());
+    srv.openConn(*c);
     c->wantIn = true;
     poller_->add(c->sock.fd(), /*in=*/true, /*out=*/false, c->id);
     armIdle(c, now);
@@ -671,9 +671,9 @@ EventLoop::completeConsume(Conn *c)
 
     if (!c->replies.empty()) {
         // All of this consume's replies are queued together and flushed
-        // at once, as the blocking core sends them in one sendAll: the
-        // server half of the client's one-write-per-exchange rule
-        // (net/client.hh). Keep it the only write path for replies.
+        // at once: the server half of the client's one-write-per-
+        // exchange rule (net/client.hh). Keep it the only write path
+        // for replies.
         uint64_t tReply = obs::monotonicNanos();
         if (!queueBytes(c, c->replies.data(), c->replies.size()))
             return; // hard cap tripped: connection gone

@@ -1,20 +1,21 @@
 /**
  * @file
- * The event-loop server core: one thread, epoll (or poll) readiness,
- * nonblocking sockets, bounded write queues, and a timer wheel.
+ * The server's connection engine: one thread, epoll (or poll)
+ * readiness, nonblocking sockets, bounded write queues, and a timer
+ * wheel.
  *
- * The thread-per-connection core (net/server.hh) parks one pool worker
- * on every live socket, so concurrency is capped at the worker count
- * and an idle or hostile connection holds a thread hostage. This core
- * inverts the ownership: the loop thread owns every socket, all
- * accept/read/write I/O, and every connection's queues and timers; the
- * ThreadPool only ever runs Session::consume() — the CPU work — and
- * hands the result back through a completion queue drained on a wakeup
- * eventfd/pipe. Session itself needed no changes: it was always a
+ * A thread-per-connection server parks one worker on every live
+ * socket, so concurrency is capped at the worker count and an idle or
+ * hostile connection holds a thread hostage. The loop inverts the
+ * ownership: the loop thread owns every socket, all accept/read/write
+ * I/O, and every connection's queues and timers; the ThreadPool only
+ * ever runs Session::consume() — the CPU work — and hands the result
+ * back through a completion queue drained on a wakeup eventfd/pipe.
+ * Session itself needed no changes: it was always a
  * socket-free byte-stream state machine, which is exactly the shape a
  * readiness loop schedules. What admission, eviction and request
- * accounting decide is TeaServer's (net/server_conn.cc), shared with
- * the blocking core; this core only carries the decisions out.
+ * accounting decide is TeaServer's (net/server_conn.cc); the loop only
+ * carries the decisions out.
  *
  * Threading rules (the whole contract in four lines):
  *
@@ -48,8 +49,8 @@
  *
  * Fault injection: connections are held through FaultySocket, so the
  * chaos config (ServerConfig::loopFaults) can inject EAGAIN storms,
- * partial writes, and spurious readiness — nonblocking failure shapes
- * the blocking core could never meet. Unarmed (the default) every call
+ * partial writes, and spurious readiness — the failure shapes only
+ * nonblocking sockets meet. Unarmed (the default) every call
  * passes straight through.
  */
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <thread>
 
 #include "net/event_loop.hh"
@@ -55,9 +54,7 @@ TeaServer::TeaServer(ServerConfig config)
     hRequestMs = &metrics_.histogram("server.request_ms");
     hTaskMs = &metrics_.histogram("pool.task_ms");
 
-    // Event-loop core health. Registered unconditionally so the metric
-    // catalog is stable across cores; on the blocking core they all
-    // read zero (a cheap, greppable signal of which engine ran).
+    // Event-loop health.
     mLoopIterations = &metrics_.counter("loop.iterations");
     mLoopWakeups = &metrics_.counter("loop.wakeups");
     mLoopTimers = &metrics_.counter("loop.timers_fired");
@@ -284,14 +281,10 @@ TeaServer::start()
         panic("tead server: started twice");
     startedAtMs.store(steadyMs());
     listener = Listener::open(Endpoint::parse(cfg.endpoint));
-    if (cfg.core == ServerCore::EventLoop) {
-        loop_ = std::make_unique<EventLoop>(*this);
-        loop_->start();
-    } else {
-        acceptThread = std::thread([this] { acceptLoop(); });
-    }
+    loop_ = std::make_unique<EventLoop>(*this);
+    loop_->start();
     // The sampler reads activeSessions(), hence loop_: it starts after
-    // the core, so the thread's creation orders that read after the
+    // the loop, so the thread's creation orders that read after the
     // assignment above.
     if (history_)
         samplerThread_ = std::thread([this] { samplerLoop(); });
@@ -300,10 +293,7 @@ TeaServer::start()
 size_t
 TeaServer::activeSessions() const
 {
-    if (loop_)
-        return loop_->liveConns();
-    std::lock_guard<std::mutex> lock(connMu);
-    return conns.size();
+    return loop_ ? loop_->liveConns() : 0;
 }
 
 uint64_t
@@ -325,129 +315,11 @@ TeaServer::port() const
     return listener.local().port;
 }
 
-// The blocking core. Every per-connection decision it makes is a
-// server_conn.cc method the event loop calls too.
-
-void
-TeaServer::sendBestEffort(Socket &sock, const std::vector<uint8_t> &frame)
-{
-    try {
-        sock.sendAll(frame.data(), frame.size());
-        mBytesOut->inc(frame.size());
-    } catch (const FatalError &) {
-        // The client vanished first; the frame's event still counts.
-    }
-}
-
-void
-TeaServer::acceptLoop()
-{
-    Socket sock;
-    std::vector<uint8_t> busy;
-    while (listener.accept(sock)) {
-        if (stopping.load())
-            break; // socket closes on loop exit
-        if (!admit(busy)) {
-            sendBestEffort(sock, busy);
-            sock.close();
-            continue;
-        }
-        uint64_t id;
-        auto shared = std::make_shared<Socket>(std::move(sock));
-        {
-            std::lock_guard<std::mutex> lock(connMu);
-            id = nextConnId++;
-            conns.emplace(id, shared);
-        }
-        uint64_t acceptNs = obs::monotonicNanos();
-        pool.submit([this, id, shared, acceptNs] {
-            serveConnection(*shared, id, acceptNs);
-            std::lock_guard<std::mutex> lock(connMu);
-            conns.erase(id);
-        });
-    }
-}
-
-void
-TeaServer::serveConnection(Socket &sock, uint64_t connId,
-                           uint64_t acceptNs)
-{
-    try {
-        ServerConn conn;
-        conn.id = connId;
-        openConn(conn, acceptNs);
-
-        std::vector<uint8_t> replies;
-        uint8_t buf[64 * 1024];
-        // `lastByteMs` feeds the idle clock; the request clock lives in
-        // `conn` and runs while conn.midRequest.
-        uint64_t lastByteMs = steadyMs();
-        for (;;) {
-            int waitMs = -1;
-            if (cfg.idleTimeoutMs != 0 ||
-                (cfg.requestDeadlineMs != 0 && conn.midRequest)) {
-                uint64_t now = steadyMs();
-                int64_t budget = std::numeric_limits<int64_t>::max();
-                const char *why = nullptr;
-                bool deadline = false;
-                if (cfg.idleTimeoutMs != 0) {
-                    budget = static_cast<int64_t>(
-                        lastByteMs + cfg.idleTimeoutMs - now);
-                    why = "idle timeout";
-                }
-                if (cfg.requestDeadlineMs != 0 && conn.midRequest) {
-                    int64_t left = static_cast<int64_t>(
-                        conn.requestStartMs + cfg.requestDeadlineMs - now);
-                    if (left < budget) {
-                        budget = left;
-                        why = "request deadline exceeded";
-                        deadline = true;
-                    }
-                }
-                if (budget <= 0) {
-                    sendBestEffort(sock, evict(why, deadline));
-                    break;
-                }
-                waitMs = static_cast<int>(std::min<int64_t>(
-                    budget, std::numeric_limits<int>::max()));
-            }
-            if (sock.waitReadable(waitMs) == 0)
-                continue; // budget recomputed (and now expired) above
-            size_t n = sock.recvSome(buf, sizeof(buf));
-            if (n == 0)
-                break; // peer closed (or stop() shut our read down)
-            mBytesIn->inc(n);
-            lastByteMs = steadyMs();
-            noteBytes(conn, lastByteMs);
-            replies.clear();
-            bool keep = conn.session->consume(buf, n, replies);
-            if (!replies.empty()) {
-                // Every reply this consume produced leaves in one send:
-                // the server half of the one-write-per-exchange rule
-                // the client's corking keeps (net/client.hh). Keep it
-                // the only write path for session replies.
-                uint64_t tReply = obs::monotonicNanos();
-                sock.sendAll(replies.data(), replies.size());
-                mBytesOut->inc(replies.size());
-                noteReply(conn, tReply);
-            }
-            noteConsumed(conn);
-            if (!keep)
-                break;
-        }
-    } catch (const FatalError &) {
-        // Socket-level failure (peer reset mid-write): the session is
-        // over either way; one broken client must not hurt the server.
-    }
-    closeConn();
-}
-
 void
 TeaServer::stop()
 {
     if (!started.load() || stopped.exchange(true))
         return;
-    stopping.store(true);
     if (samplerThread_.joinable()) {
         {
             std::lock_guard<std::mutex> lock(samplerMu_);
@@ -456,28 +328,15 @@ TeaServer::stop()
         samplerCv_.notify_all();
         samplerThread_.join();
     }
-    if (loop_) {
-        // The loop drains itself: accepts stop, in-flight consume
-        // tasks finish, queued replies flush, stragglers are evicted
-        // at the drain deadline. The listener closes after the loop
-        // thread joined — it owns the fd's poller registration.
+    // The loop drains itself: accepts stop, in-flight consume tasks
+    // finish, queued replies flush, stragglers are evicted at the drain
+    // deadline. The listener closes after the loop thread joined — it
+    // owns the fd's poller registration. (No loop when the listener
+    // failed to bind.)
+    if (loop_)
         loop_->stop();
-        listener.close();
-        pool.drain();
-        return;
-    }
-    listener.close(); // wakes the accept loop
-    if (acceptThread.joinable())
-        acceptThread.join();
-    // No new sessions can be admitted now. Shut down reads on the live
-    // ones: blocked recvs wake with EOF; an in-flight replay finishes
-    // and its reply still flushes, because the write side stays open.
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        for (auto &conn : conns)
-            conn.second->shutdownRead();
-    }
-    pool.drain(); // every running and queued session exits
+    listener.close();
+    pool.drain();
 }
 
 } // namespace tea

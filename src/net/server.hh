@@ -11,45 +11,33 @@
  * to a local one — enforced by tests/test_net.cc and
  * bench/net_throughput.
  *
- * Two interchangeable connection engines (ServerConfig::core): the
- * thread-per-connection core documented below, and the epoll/poll
- * event-loop core (net/event_loop.hh) that owns every socket on one
- * thread and scales to tens of thousands of connections. TeaServer is
- * the one home of every per-connection decision both make: admission
- * and its BUSY frame, eviction (counters, fatal ERROR frame,
- * rate-limited warning), the Accept/Reply/Request spans, the request
- * clock, server.request_ms and the slow-request log, and the
- * sessions-served count (net/server_conn.cc). Each core calls those
- * private methods and keeps only its mechanics (who blocks where, how
- * bytes are queued).
+ * One connection engine: the epoll/poll event loop (net/event_loop.hh)
+ * owns every socket on one thread, keeps idle connections off worker
+ * threads, and runs Session::consume() — the CPU work — on a
+ * ThreadPool. TeaServer is the one home of every per-connection
+ * decision the loop carries out (net/server_conn.cc):
  *
- * Concurrency model of the blocking core — one accept thread, sessions
- * on a ThreadPool:
- *
- * - the accept loop hands each admitted connection to the worker pool;
- *   a session occupies its worker for the connection's lifetime, so
- *   at most `workers` clients are served concurrently;
- * - admission control is the pool's queue depth
- *   (ThreadPool::pending()) plus an optional live-connection cap
- *   (`maxSessions`): when `maxQueue` sessions already wait for a
- *   worker, or `maxSessions` connections are live, new connections get
- *   one BUSY frame — carrying the queue depth and the cap, so the
- *   client can log *why* and back off smarter — and an immediate
- *   close: backpressure instead of unbounded memory;
- * - sessions carry deadlines: `idleTimeoutMs` bounds how long a
- *   connection may sit sending nothing, `requestDeadlineMs` bounds how
- *   long one request (a partial frame, or an open replay stream) may
- *   take end to end. A dead peer trips the idle clock; a slowloris
- *   trickling a byte at a time keeps the idle clock happy but trips
- *   the request clock. Either way the session worker is reclaimed: the
- *   server sends a best-effort fatal ERROR frame (when the socket is
- *   still writable), counts the eviction, and emits a rate-limited
- *   warning — a flapping client cannot flood the log;
- * - stop() is graceful: the listener closes first (no new
- *   connections), then every live session socket gets a read-side
- *   shutdown — a replay already running completes and its reply is
- *   flushed to the client before the connection closes, because
- *   writes stay open. stop() returns only after every session exited.
+ * - admission: a connection is admitted at accept unless `maxQueue`
+ *   consume tasks already wait for a pool worker, or `maxSessions`
+ *   connections are live; a rejected one gets one BUSY frame —
+ *   carrying the queue depth and the cap, so the client can log *why*
+ *   and back off smarter — and is closed once it flushes:
+ *   backpressure instead of unbounded memory;
+ * - deadlines: `idleTimeoutMs` bounds how long a connection may sit
+ *   sending nothing, `requestDeadlineMs` how long one request (a
+ *   partial frame, or an open replay stream) may take end to end. A
+ *   dead peer trips the idle clock; a slowloris trickling a byte at a
+ *   time keeps the idle clock happy but trips the request clock.
+ *   Either way the server sends a best-effort fatal ERROR frame,
+ *   counts the eviction, and emits a rate-limited warning — a
+ *   flapping client cannot flood the log;
+ * - accounting: the Reply/Request spans, the request clock,
+ *   server.request_ms and the slow-request log, and the
+ *   sessions-served count;
+ * - stop() is graceful: no new connections are accepted, in-flight
+ *   requests finish and their replies flush, and connections still
+ *   busy at the drain deadline are evicted. stop() returns only after
+ *   every connection is closed.
  */
 
 #ifndef TEA_NET_SERVER_HH
@@ -62,7 +50,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/fault.hh"
@@ -80,34 +67,22 @@ namespace tea {
 
 class EventLoop;
 
-/**
- * Which connection engine drives the server.
- *
- * - `Blocking`: the original thread-per-connection core described in
- *   the file comment above — one pool worker parked per live socket.
- * - `EventLoop`: the single-threaded epoll/poll readiness core
- *   (net/event_loop.hh) — sockets are nonblocking and owned by the
- *   loop, replay/record work still runs on the pool, and idle
- *   connections cost a few hundred bytes instead of a thread. Same
- *   wire protocol, same Session, same BUSY/eviction/deadline meaning;
- *   tests/test_chaos.cc proves both cores bit-identical under fault
- *   injection.
- */
-enum class ServerCore : uint8_t { Blocking, EventLoop };
-
 struct ServerConfig
 {
     /** "tcp:host:port" (port 0 = ephemeral) or "unix:/path". */
     std::string endpoint = "tcp:127.0.0.1:0";
-    /** Session workers; 0 picks hardware_concurrency. */
+    /** Pool workers running consume tasks; 0 picks hardware_concurrency. */
     size_t workers = 0;
-    /** Connections allowed to wait for a worker before BUSY (≥ 1). */
+    /**
+     * Consume tasks allowed to wait for a worker before new
+     * connections get BUSY (≥ 1).
+     */
     size_t maxQueue = 64;
     /** Live-connection cap before BUSY; 0 = bounded by maxQueue only. */
     size_t maxSessions = 0;
     /**
      * Evict a connection that sends nothing for this long (ms);
-     * 0 disables. A stalled or dead client stops pinning its worker.
+     * 0 disables. A stalled or dead client stops holding a session slot.
      */
     uint32_t idleTimeoutMs = 0;
     /**
@@ -162,10 +137,7 @@ struct ServerConfig
     /** Frames the history ring retains (raised to 2 when sampling). */
     size_t historyFrames = 120;
 
-    /** Connection engine; see ServerCore. */
-    ServerCore core = ServerCore::Blocking;
-
-    // ----- event-loop core tuning (ignored by the blocking core) -----
+    // ----- event-loop tuning -----
 
     /**
      * Hard cap on one connection's queued-but-unsent reply bytes. A
@@ -202,9 +174,9 @@ struct ServerConfig
 };
 
 /**
- * What TeaServer tracks for one admitted connection, whichever core
- * drives it: the Session and the request clock. The core owns the
- * struct; only TeaServer's lifecycle methods advance the clock.
+ * What TeaServer tracks for one admitted connection: the Session and
+ * the request clock. The event loop owns the struct; only TeaServer's
+ * lifecycle methods advance the clock.
  */
 struct ServerConn
 {
@@ -256,10 +228,10 @@ class TeaServer
 
     size_t workers() const { return pool.workers(); }
 
-    /** Sessions admitted but still waiting for a worker. */
+    /** Consume tasks queued but still waiting for a worker. */
     size_t queueDepth() const { return pool.pending(); }
 
-    /** Live connections (serving or queued). */
+    /** Live admitted connections. */
     size_t activeSessions() const;
 
     /** Milliseconds since start(); 0 before it. */
@@ -270,7 +242,7 @@ class TeaServer
     uint64_t busyRejected() const { return mBusy->value(); }
     /**
      * Connections evicted by the idle or request deadline, or closed
-     * for a write-queue overflow (event-loop core).
+     * for a write-queue overflow.
      */
     uint64_t sessionsEvicted() const
     {
@@ -313,20 +285,12 @@ class TeaServer
     std::string openMetricsText() const;
 
     /** True once stop() began: GET /healthz answers 503 then. */
-    bool draining() const { return stopping.load(); }
+    bool draining() const { return stopped.load(); }
 
   private:
-    friend class EventLoop; ///< the loop core is an engine of this class
+    friend class EventLoop; ///< the engine that carries these out
 
-    // The blocking core's mechanics.
-    void acceptLoop();
-    void serveConnection(Socket &sock, uint64_t connId,
-                         uint64_t acceptNs);
-    /** sendAll + bytes_out; a vanished peer is not an error here. */
-    void sendBestEffort(Socket &sock, const std::vector<uint8_t> &frame);
-
-    // The connection lifecycle, written once for both cores
-    // (net/server_conn.cc).
+    // The connection lifecycle (net/server_conn.cc).
 
     /**
      * Admission control at accept: true when the connection may be
@@ -334,11 +298,8 @@ class TeaServer
      * frame (queue depth, cap) to send before closing.
      */
     bool admit(std::vector<uint8_t> &busy);
-    /**
-     * Build the admitted connection's Session and push its Accept span
-     * (queue wait from acceptNs to now).
-     */
-    void openConn(ServerConn &conn, uint64_t acceptNs);
+    /** Build the admitted connection's Session. */
+    void openConn(ServerConn &conn);
     /** Bytes arrived for the session: start the request clock if idle. */
     void noteBytes(ServerConn &conn, uint64_t nowMs);
     /** A consume's replies were sent (or queued) starting at startNs. */
@@ -351,7 +312,7 @@ class TeaServer
     void noteConsumed(ServerConn &conn);
     /**
      * Count an eviction, warn (rate-limited), and return the fatal
-     * ERROR frame the core sends best-effort before closing.
+     * ERROR frame the loop sends best-effort before closing.
      */
     std::vector<uint8_t> evict(const char *why, bool deadline);
     /** An admitted connection ended. */
@@ -377,7 +338,7 @@ class TeaServer
     obs::Counter *mTaskFailures;   ///< pool.task_failures
     obs::Histogram *hRequestMs;    ///< server.request_ms
     obs::Histogram *hTaskMs;       ///< pool.task_ms
-    // Event-loop health (all stay zero on the blocking core).
+    // Event-loop health.
     obs::Counter *mLoopIterations; ///< loop.iterations
     obs::Counter *mLoopWakeups;    ///< loop.wakeups
     obs::Counter *mLoopTimers;     ///< loop.timers_fired
@@ -407,16 +368,9 @@ class TeaServer
 
     ThreadPool pool;
     Listener listener;
-    std::thread acceptThread;
-    std::unique_ptr<EventLoop> loop_; ///< set when core == EventLoop
-
-    mutable std::mutex connMu;
-    uint64_t nextConnId = 0;
-    /** Live session sockets, so stop() can shut their reads down. */
-    std::unordered_map<uint64_t, std::shared_ptr<Socket>> conns;
+    std::unique_ptr<EventLoop> loop_; ///< set by start()
 
     std::atomic<bool> started{false};
-    std::atomic<bool> stopping{false};
     std::atomic<bool> stopped{false};
     std::atomic<uint64_t> startedAtMs{0}; ///< steady clock, for uptime
 };

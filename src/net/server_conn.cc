@@ -1,11 +1,10 @@
 /**
  * @file
- * The connection lifecycle both server cores share: admission and the
- * BUSY frame, eviction, the Accept/Reply/Request spans, the request
- * clock with server.request_ms and the slow-request log, and the
- * sessions-served count. The blocking core (server.cc) and the event
- * loop (event_loop.cc) call these TeaServer methods and keep only their
- * own I/O mechanics.
+ * The server's connection lifecycle: admission and the BUSY frame,
+ * eviction, the Reply/Request spans, the request clock with
+ * server.request_ms and the slow-request log, and the sessions-served
+ * count. The event loop (event_loop.cc) calls these TeaServer methods
+ * and keeps only its own I/O mechanics.
  */
 
 #include <algorithm>
@@ -24,7 +23,8 @@ TeaServer::admit(std::vector<uint8_t> &busy)
         (cfg.maxSessions == 0 || activeSessions() < cfg.maxSessions))
         return true;
     // Backpressure: one BUSY frame, then close. Never queue beyond the
-    // bound, never buffer the client's bytes. The payload tells the
+    // bound, never buffer the client's bytes. `depth` counts consume
+    // tasks waiting for a worker, not connections. The payload tells the
     // client why (depth, cap) so its backoff can be smarter than a
     // blind sleep.
     mBusy->inc();
@@ -38,18 +38,8 @@ TeaServer::admit(std::vector<uint8_t> &busy)
 }
 
 void
-TeaServer::openConn(ServerConn &conn, uint64_t acceptNs)
+TeaServer::openConn(ServerConn &conn)
 {
-    // The Accept span measures queue wait: accept() to worker pickup.
-    // Under load this is the first thing to grow on the blocking core;
-    // the loop admits at accept, so there it reads ~0.
-    obs::Span accept;
-    accept.conn = conn.id;
-    accept.phase = obs::SpanPhase::Accept;
-    accept.startNs = acceptNs;
-    accept.durNs = obs::monotonicNanos() - acceptNs;
-    spans_.push(accept);
-
     conn.session = std::make_unique<Session>(registry_, cfg.lookup);
     Session &session = *conn.session;
     session.setStore(store_.get());

@@ -3,11 +3,10 @@
  * The server side of one tead connection, as a pure state machine.
  *
  * A Session consumes raw wire bytes and produces raw reply bytes; it
- * knows nothing about sockets. Both connection engines pump it: the
- * blocking core (net/server.hh) from a parked worker's recv loop, the
- * event-loop core (net/event_loop.hh) from pool tasks fed by the
- * readiness thread — being socket-free is what lets one state machine
- * serve both. The fuzz tests (tests/test_net_fuzz.cc) pump it with
+ * knows nothing about sockets. The server's event loop
+ * (net/event_loop.hh) pumps it from pool tasks fed by the readiness
+ * thread — being socket-free is what lets a readiness loop schedule
+ * it. The fuzz tests (tests/test_net_fuzz.cc) pump it with
  * mutated byte streams directly — the whole protocol surface is
  * exercised in-process.
  *

@@ -280,13 +280,6 @@ Socket::sendNb(const void *buf, size_t len)
 }
 
 void
-Socket::shutdownRead()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RD);
-}
-
-void
 Socket::close()
 {
     if (fd_ >= 0) {
@@ -373,40 +366,6 @@ Listener::open(const Endpoint &ep)
     return l;
 }
 
-bool
-Listener::accept(Socket &out)
-{
-    for (;;) {
-        if (closing_.load())
-            return false;
-        pollfd pfd{fd_, POLLIN, 0};
-        // A finite poll bounds how long close() can go unnoticed; the
-        // shutdown() in close() usually wakes the poll immediately.
-        int rv = ::poll(&pfd, 1, 200);
-        if (rv < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (rv == 0)
-            continue;
-        if (closing_.load())
-            return false;
-        int cfd = ::accept(fd_, nullptr, nullptr);
-        if (cfd < 0) {
-            if (errno == EINTR || errno == ECONNABORTED)
-                continue;
-            return false;
-        }
-        out = Socket(cfd);
-        // A peer already gone fails setsockopt; the first recv reports
-        // it the ordinary way, so the accept itself still stands.
-        if (local_.kind == Endpoint::Kind::Tcp)
-            setNoDelay(cfd);
-        return true;
-    }
-}
-
 Socket::IoResult
 Listener::acceptNb(Socket &out)
 {
@@ -419,8 +378,10 @@ Listener::acceptNb(Socket &out)
         int cfd = ::accept(fd_, nullptr, nullptr);
         if (cfd >= 0) {
             out = Socket(cfd);
+            // A peer already gone fails setsockopt; the first recv
+            // reports it the ordinary way, so the accept still stands.
             if (local_.kind == Endpoint::Kind::Tcp)
-                setNoDelay(cfd); // failure: see accept()
+                setNoDelay(cfd);
             res.n = 1;
             return res;
         }

@@ -18,11 +18,11 @@
  * Two I/O surfaces share the fd:
  *
  * - the blocking calls (recvSome/sendAll/waitReadable) used by the
- *   client and the thread-per-connection server core; errors surface
- *   as FatalError, EOF is an in-band return value (recvSome() == 0),
- *   because a peer hanging up is a normal protocol event;
+ *   client; errors surface as FatalError, EOF is an in-band return
+ *   value (recvSome() == 0), because a peer hanging up is a normal
+ *   protocol event;
  * - the nonblocking calls (recvNb/sendNb, after setNonBlocking) used
- *   by the event-loop server core (net/event_loop.hh): would-block and
+ *   by the server's event loop (net/event_loop.hh): would-block and
  *   peer-gone are in-band IoResult fields — the readiness loop treats
  *   both as ordinary scheduling events — and only programming errors
  *   (EBADF and kin) still throw.
@@ -89,7 +89,7 @@ class Socket
     /**
      * Poll until the socket is readable (data, EOF, or an error —
      * recvSome() reports which) or `timeoutMs` elapses. Negative means
-     * wait forever. The server's idle/deadline eviction builds on this.
+     * wait forever.
      * @return 1 when readable, 0 on timeout
      * @throws FatalError on poll errors
      */
@@ -128,13 +128,6 @@ class Socket
     /** The raw descriptor, for poller registration; -1 when invalid. */
     int fd() const { return fd_; }
 
-    /**
-     * Disable further receives: a thread blocked in recvSome() wakes
-     * with EOF. Pending writes still flush — the server's graceful
-     * shutdown uses this to let in-flight replies reach the client.
-     */
-    void shutdownRead();
-
     void close();
 
   private:
@@ -160,15 +153,8 @@ class Listener
     static Listener open(const Endpoint &ep);
 
     /**
-     * Accept one connection (with TCP_NODELAY set on a TCP endpoint).
-     * @return false once the listener has been closed (the server's
-     *         shutdown path); transient accept errors are retried
-     */
-    bool accept(Socket &out);
-
-    /**
-     * One nonblocking accept attempt, for the event-loop core (TCP
-     * connections get TCP_NODELAY, as in accept()): the
+     * One nonblocking accept attempt, for the event loop (TCP
+     * connections get TCP_NODELAY): the
      * caller must have registered fd() with its poller and put the
      * listener in nonblocking mode via setNonBlocking(). Exactly one of
      * the IoResult cases holds: `n == 1` (a connection landed in `out`),
@@ -189,10 +175,10 @@ class Listener
     const Endpoint &local() const { return local_; }
 
     /**
-     * Stop accepting: wakes a thread blocked in accept(), which then
-     * returns false. Safe to call from another thread; the fd itself
-     * is released by the destructor, after the accept thread joined,
-     * so no thread ever polls a recycled descriptor.
+     * Stop accepting: acceptNb() reports `closed` from then on. Safe
+     * to call from another thread; the fd itself is released by the
+     * destructor, after the loop thread joined, so no thread ever
+     * polls a recycled descriptor.
      */
     void close();
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * A hashed timer wheel for the event-loop server core.
+ * A hashed timer wheel for the server's event loop.
  *
  * The loop folds every connection clock — idle timeout, mid-request
  * deadline, drain deadline — into one wheel instead of polling each

@@ -20,7 +20,6 @@ const char *
 spanPhaseName(SpanPhase phase)
 {
     switch (phase) {
-    case SpanPhase::Accept: return "accept";
     case SpanPhase::Decode: return "decode";
     case SpanPhase::Lookup: return "lookup";
     case SpanPhase::Replay: return "replay";

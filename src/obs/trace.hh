@@ -3,9 +3,10 @@
  * Per-request span tracing for the replay stack.
  *
  * A Span is one timed phase of one request on one connection: the
- * server stamps Accept when a connection is admitted and Reply/Request
- * when it answers; the session stamps Decode (frame extraction),
- * Lookup (registry snapshot), and Replay (the kernel run). Spans
+ * server stamps Dispatch when a worker picks a read up and
+ * Reply/Request when it answers; the session stamps Decode (frame
+ * extraction), Lookup (registry snapshot), and Replay (the kernel
+ * run). Spans
  * carry monotonic nanosecond timestamps, so a dump reads as a causal
  * timeline without any clock juggling.
  *
@@ -44,13 +45,12 @@ uint64_t monotonicNanos();
 
 /** The traced phases of one request's lifecycle. */
 enum class SpanPhase : uint8_t {
-    Accept = 0, ///< connection admitted to a session worker
-    Decode,     ///< wire bytes -> frames (FrameDecoder)
-    Lookup,     ///< automaton registry snapshot pin
-    Replay,     ///< the replay kernel run (REPLAY_END)
-    Reply,      ///< reply bytes flushed to the socket
-    Request,    ///< the whole request, first byte to last reply byte
-    Dispatch,   ///< event loop: read-ready to worker pickup latency
+    Decode,       ///< wire bytes -> frames (FrameDecoder)
+    Lookup,       ///< automaton registry snapshot pin
+    Replay,       ///< the replay kernel run (REPLAY_END)
+    Reply,        ///< reply bytes flushed to the socket
+    Request,      ///< the whole request, first byte to last reply byte
+    Dispatch,     ///< event loop: read-ready to worker pickup latency
     StoreFaultIn, ///< store: cold .teac image mmap'd into residency
 };
 

@@ -4,27 +4,6 @@
 
 namespace tea {
 
-namespace {
-
-/** Merge b into a field-wise. */
-void
-accumulate(ReplayStats &a, const ReplayStats &b)
-{
-    a.blocks += b.blocks;
-    a.insnsTotal += b.insnsTotal;
-    a.insnsInTrace += b.insnsInTrace;
-    a.transitions += b.transitions;
-    a.intraTraceHits += b.intraTraceHits;
-    a.traceExits += b.traceExits;
-    a.exitsToCold += b.exitsToCold;
-    a.nteBlocks += b.nteBlocks;
-    a.localCacheHits += b.localCacheHits;
-    a.globalLookups += b.globalLookups;
-    a.globalHits += b.globalHits;
-}
-
-} // namespace
-
 TeaRecorder::TeaRecorder(std::unique_ptr<TraceSelector> sel,
                          LookupConfig config)
     : selector(std::move(sel)), cfg(config)
@@ -41,7 +20,7 @@ ReplayStats
 TeaRecorder::stats() const
 {
     ReplayStats total = accumulated;
-    accumulate(total, replayer->stats());
+    total += replayer->stats();
     return total;
 }
 
@@ -61,7 +40,7 @@ TeaRecorder::install(RecordingResult result)
     // so reposition from the address about to execute: entering a trace
     // is only possible at its entry (NTE transitions), so entryAt() is
     // exactly the automaton's answer.
-    accumulate(accumulated, replayer->stats());
+    accumulated += replayer->stats();
     automaton = buildTea(traceSet);
     replayer = std::make_unique<TeaReplayer>(automaton, cfg);
     if (lastToStart != kNoAddr)

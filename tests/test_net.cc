@@ -5,13 +5,16 @@
  * ISSUE acceptance criterion that ≥ 4 concurrent clients receive
  * per-stream ReplayStats and a merged per-TBB profile bit-identical to
  * a local ReplayService::runBatch over the same inputs, plus BUSY
- * admission control and graceful shutdown.
+ * admission control, deadlines and graceful shutdown on the server's
+ * event loop.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include <netinet/in.h>
@@ -358,18 +361,14 @@ noDelayOf(const Socket &s)
 }
 
 /**
- * Accept one connection the way `core` does: the blocking core calls
- * Listener::accept(), the event loop Listener::acceptNb() on a
- * nonblocking listener after a readiness event.
+ * Accept one connection the way the event loop does:
+ * Listener::acceptNb() on a nonblocking listener after a readiness
+ * event.
  */
 Socket
-acceptAs(ServerCore core, Listener &l)
+acceptNbOne(Listener &l)
 {
     Socket out;
-    if (core == ServerCore::Blocking) {
-        EXPECT_TRUE(l.accept(out));
-        return out;
-    }
     l.setNonBlocking(true);
     for (int tries = 0; tries < 100; ++tries) {
         pollfd pfd{l.fd(), POLLIN, 0};
@@ -399,40 +398,12 @@ class NetLoopback : public ::testing::Test
     std::vector<uint8_t> foreignLog;
 };
 
-/**
- * The integration suite runs once per connection engine: the BUSY,
- * eviction, deadline, and shutdown assertions must mean exactly the
- * same thing on the blocking core and the event loop. Tests tied to
- * the blocking core's worker-parking mechanics (queue-slot occupancy)
- * stay on the plain NetLoopback fixture below.
- */
-class NetCores : public NetLoopback,
-                 public ::testing::WithParamInterface<ServerCore>
-{
-  protected:
-    ServerConfig
-    baseConfig() const
-    {
-        ServerConfig cfg;
-        cfg.core = GetParam();
-        return cfg;
-    }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Cores, NetCores,
-    ::testing::Values(ServerCore::Blocking, ServerCore::EventLoop),
-    [](const ::testing::TestParamInfo<ServerCore> &info) {
-        return info.param == ServerCore::Blocking ? "Blocking"
-                                                  : "EventLoop";
-    });
-
-TEST_P(NetCores, FourConcurrentClientsMatchLocalBatchBitForBit)
+TEST_F(NetLoopback, FourConcurrentClientsMatchLocalBatchBitForBit)
 {
     constexpr int kClients = 4;
     constexpr int kStreamsPerClient = 2;
 
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.endpoint = "tcp:127.0.0.1:0"; // ephemeral
     cfg.workers = kClients;
     TeaServer server(cfg);
@@ -501,10 +472,10 @@ TEST_P(NetCores, FourConcurrentClientsMatchLocalBatchBitForBit)
     EXPECT_EQ(server.busyRejected(), 0u);
 }
 
-TEST_P(NetCores, TcpSocketsSetNoDelayOnBothEnds)
+TEST_F(NetLoopback, TcpSocketsSetNoDelayOnBothEnds)
 {
-    // The dialing side, against the core's own server.
-    ServerConfig cfg = baseConfig();
+    // The dialing side, against the server.
+    ServerConfig cfg;
     cfg.endpoint = "tcp:127.0.0.1:0";
     cfg.workers = 1;
     TeaServer server(cfg);
@@ -514,22 +485,21 @@ TEST_P(NetCores, TcpSocketsSetNoDelayOnBothEnds)
     dialed.close();
     server.stop();
 
-    // The accepting side, through the accept call this core uses.
+    // The accepting side, through the accept call the loop uses.
     Listener l = Listener::open(Endpoint::parse("tcp:127.0.0.1:0"));
     Socket peer = Socket::connectTo(l.local());
-    Socket accepted = acceptAs(GetParam(), l);
+    Socket accepted = acceptNbOne(l);
     ASSERT_TRUE(accepted.valid());
     EXPECT_EQ(noDelayOf(accepted), 1);
 }
 
-TEST_P(NetCores, UnixSocketsGetNoTcpOption)
+TEST_F(NetLoopback, UnixSocketsGetNoTcpOption)
 {
-    std::string path = "/tmp/tead-nodelay-" + std::to_string(::getpid()) +
-                       (GetParam() == ServerCore::EventLoop ? "-el" : "-bl") +
-                       ".sock";
+    std::string path =
+        "/tmp/tead-nodelay-" + std::to_string(::getpid()) + ".sock";
     Listener l = Listener::open(Endpoint::parse("unix:" + path));
     Socket peer = Socket::connectTo(l.local());
-    Socket accepted = acceptAs(GetParam(), l);
+    Socket accepted = acceptNbOne(l);
     ASSERT_TRUE(accepted.valid());
     // Neither end carries the TCP option (a Unix socket has none).
     EXPECT_NE(noDelayOf(peer), 1);
@@ -541,9 +511,9 @@ TEST_P(NetCores, UnixSocketsGetNoTcpOption)
  * request waited for Linux's delayed-ACK timer (40 ms minimum), so a
  * median under half of that cannot be met by a stalled exchange.
  */
-TEST_P(NetCores, RemoteReplayLatencyIsNotAKernelTimer)
+TEST_F(NetLoopback, RemoteReplayLatencyIsNotAKernelTimer)
 {
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.endpoint = "tcp:127.0.0.1:0";
     cfg.workers = 1;
     TeaServer server(cfg);
@@ -566,13 +536,11 @@ TEST_P(NetCores, RemoteReplayLatencyIsNotAKernelTimer)
     server.stop();
 }
 
-TEST_P(NetCores, UnixSocketRoundTrip)
+TEST_F(NetLoopback, UnixSocketRoundTrip)
 {
-    ServerConfig cfg = baseConfig();
-    cfg.endpoint = "unix:/tmp/tead-test-" +
-                   std::to_string(::getpid()) +
-                   (GetParam() == ServerCore::EventLoop ? "-el" : "-bl") +
-                   ".sock";
+    ServerConfig cfg;
+    cfg.endpoint =
+        "unix:/tmp/tead-test-" + std::to_string(::getpid()) + ".sock";
     cfg.workers = 1;
     TeaServer server(cfg);
     server.start();
@@ -590,9 +558,9 @@ TEST_P(NetCores, UnixSocketRoundTrip)
     EXPECT_FALSE(client.evict("gzip"));
 }
 
-TEST_P(NetCores, LookupFlagsChangeTheLookupPathNotTheResult)
+TEST_F(NetLoopback, LookupFlagsChangeTheLookupPathNotTheResult)
 {
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 1;
     TeaServer server(cfg);
     server.start();
@@ -612,38 +580,109 @@ TEST_P(NetCores, LookupFlagsChangeTheLookupPathNotTheResult)
     EXPECT_GT(a.stats.localCacheHits, 0u);
 }
 
+/** Send a raw HELLO frame on `s`, as TeaClient::connect() would. */
+void
+sendHello(Socket &s)
+{
+    std::vector<uint8_t> hello;
+    PayloadWriter w;
+    w.u32(Wire::kMagic);
+    w.u32(Wire::kVersion);
+    appendFrame(hello, MsgType::Hello, w.out());
+    s.sendAll(hello.data(), hello.size());
+}
+
+/** Read from `s` until `dec` yields a frame; false on EOF first. */
+bool
+readFrame(Socket &s, FrameDecoder &dec, Frame &f)
+{
+    uint8_t buf[4096];
+    while (!dec.poll(f)) {
+        size_t n = s.recvSome(buf, sizeof(buf));
+        if (n == 0)
+            return false;
+        dec.feed(buf, n);
+    }
+    return true;
+}
+
 TEST_F(NetLoopback, AdmissionQueueOverflowRepliesBusy)
 {
     ServerConfig cfg;
-    cfg.workers = 1;  // one session at a time
-    cfg.maxQueue = 1; // one session may wait
+    cfg.workers = 1;  // one consume task at a time
+    cfg.maxQueue = 1; // one task may wait for the worker
     TeaServer server(cfg);
+    // A callback gauge that blocks the snapshot reading it until the
+    // test lets go: the consume task serving a STATS request holds the
+    // only worker for as long.
+    struct Hold
+    {
+        std::mutex mu;
+        std::condition_variable cv;
+        bool held = false;
+        bool released = false;
+    };
+    auto hold = std::make_shared<Hold>();
+    server.metrics().gaugeFn("test.hold_worker", [hold] {
+        std::unique_lock<std::mutex> lock(hold->mu);
+        hold->held = true;
+        hold->cv.notify_all();
+        hold->cv.wait(lock, [&] { return hold->released; });
+        return int64_t{0};
+    });
     server.start();
     std::string ep = server.endpoint();
 
-    // A's completed handshake proves its session occupies the worker.
+    // A's STATS request parks the worker inside the gauge.
     TeaClient a = TeaClient::connect(ep);
-    // B is admitted but waits in the queue (no HELLO_OK until A ends);
-    // a raw socket is enough — it only needs to hold the queue slot.
+    std::thread statsCall([&] { a.stats(/*text=*/false); });
+    {
+        std::unique_lock<std::mutex> lock(hold->mu);
+        hold->cv.wait(lock, [&] { return hold->held; });
+    }
+
+    // B is admitted (nothing waits yet); its HELLO becomes the task
+    // queued behind the held worker, which fills the queue.
     Socket b = Socket::connectTo(Endpoint::parse(ep));
+    sendHello(b);
     while (server.queueDepth() < 1)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-    // C must bounce: worker busy, queue full.
-    EXPECT_THROW(TeaClient::connect(ep), ServerBusy);
-    EXPECT_GE(server.busyRejected(), 1u);
+    // C must bounce: worker held, queue full. A bounced connection is
+    // answered at once; an admitted one would hear nothing.
+    Socket c = Socket::connectTo(Endpoint::parse(ep));
+    bool answered = c.waitReadable(5000) == 1;
 
-    // A hangs up; B's queued session gets the worker, sees EOF after
-    // b.close(), and the server drains cleanly.
+    // Let go: A's STATS completes, B's queued HELLO gets its answer,
+    // and the server drains cleanly.
+    {
+        std::lock_guard<std::mutex> lock(hold->mu);
+        hold->released = true;
+    }
+    hold->cv.notify_all();
+    statsCall.join();
+
+    // C's one frame is BUSY, naming the queue depth that rejected it.
+    ASSERT_TRUE(answered) << "third connection was admitted";
+    FrameDecoder cdec, bdec;
+    Frame f;
+    ASSERT_TRUE(readFrame(c, cdec, f));
+    EXPECT_EQ(f.type, MsgType::Busy);
+    PayloadReader busy(f.payload);
+    EXPECT_EQ(busy.u32(), 1u); // queue depth
+    EXPECT_EQ(busy.u32(), 0u); // no session cap
+    EXPECT_EQ(server.busyRejected(), 1u);
+    ASSERT_TRUE(readFrame(b, bdec, f)) << "EOF before HELLO_OK";
+    EXPECT_EQ(f.type, MsgType::HelloOk);
     a.close();
     b.close();
     server.stop();
     EXPECT_EQ(server.sessionsServed(), 2u);
 }
 
-TEST_P(NetCores, BusyFrameCarriesQueueDepthAndSessionCap)
+TEST_F(NetLoopback, BusyFrameCarriesQueueDepthAndSessionCap)
 {
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 1;
     cfg.maxSessions = 1; // one live connection, no queueing past it
     TeaServer server(cfg);
@@ -657,6 +696,7 @@ TEST_P(NetCores, BusyFrameCarriesQueueDepthAndSessionCap)
     } catch (const ServerBusy &busy) {
         // The BUSY payload names the cap that rejected us.
         EXPECT_EQ(busy.maxSessions, 1u);
+        EXPECT_EQ(busy.queueDepth, 0u);
     }
     EXPECT_GE(server.busyRejected(), 1u);
     a.close();
@@ -666,24 +706,19 @@ TEST_P(NetCores, BusyFrameCarriesQueueDepthAndSessionCap)
 TEST_F(NetLoopback, RetryRidesOutABusyServer)
 {
     ServerConfig cfg;
-    cfg.workers = 1;  // one session at a time
-    cfg.maxQueue = 1; // one session may wait
+    cfg.workers = 1;
+    cfg.maxSessions = 1; // one live connection; the next bounces
     TeaServer server(cfg);
     server.start();
     std::string ep = server.endpoint();
     std::vector<uint8_t> teaBytes = saveTea(*tea);
 
-    // Occupy the worker (A, handshaken) and the queue slot (B, raw).
+    // A holds the only session slot; until it lets go 40 ms from now,
+    // every connect bounces.
     TeaClient a = TeaClient::connect(ep);
-    Socket b = Socket::connectTo(Endpoint::parse(ep));
-    while (server.queueDepth() < 1)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    // Release the blockers shortly; until then every connect bounces.
     std::thread releaser([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(40));
         a.close();
-        b.close();
     });
 
     RemoteReplayJob job;
@@ -709,10 +744,10 @@ TEST_F(NetLoopback, RetryRidesOutABusyServer)
     server.stop();
 }
 
-TEST_P(NetCores, IdleTimeoutEvictsAStalledClient)
+TEST_F(NetLoopback, IdleTimeoutEvictsAStalledClient)
 {
     using namespace std::chrono;
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 1;
     cfg.idleTimeoutMs = 200;
     TeaServer server(cfg);
@@ -738,10 +773,10 @@ TEST_P(NetCores, IdleTimeoutEvictsAStalledClient)
     EXPECT_EQ(server.sessionsServed(), 1u);
 }
 
-TEST_P(NetCores, RequestDeadlineEvictsASlowlorisMidFrame)
+TEST_F(NetLoopback, RequestDeadlineEvictsASlowlorisMidFrame)
 {
     using namespace std::chrono;
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 1;
     cfg.requestDeadlineMs = 200; // idle clock off: only the request
     TeaServer server(cfg);      // deadline can trip
@@ -751,21 +786,10 @@ TEST_P(NetCores, RequestDeadlineEvictsASlowlorisMidFrame)
     // on the wire and stall. An idle-only server would wait forever —
     // the request deadline must not.
     Socket s = Socket::connectTo(Endpoint::parse(server.endpoint()));
-    std::vector<uint8_t> hello;
-    PayloadWriter w;
-    w.u32(Wire::kMagic);
-    w.u32(Wire::kVersion);
-    appendFrame(hello, MsgType::Hello, w.out());
-    s.sendAll(hello.data(), hello.size());
-
+    sendHello(s);
     FrameDecoder dec;
     Frame f;
-    uint8_t buf[4096];
-    while (!dec.poll(f)) {
-        size_t n = s.recvSome(buf, sizeof(buf));
-        ASSERT_GT(n, 0u) << "EOF before HELLO_OK";
-        dec.feed(buf, n);
-    }
+    ASSERT_TRUE(readFrame(s, dec, f)) << "EOF before HELLO_OK";
     ASSERT_EQ(f.type, MsgType::HelloOk);
 
     auto t0 = steady_clock::now();
@@ -776,18 +800,12 @@ TEST_P(NetCores, RequestDeadlineEvictsASlowlorisMidFrame)
     // closes. Drain until EOF, collecting the frame.
     bool sawError = false;
     std::string message;
-    for (;;) {
-        size_t n = s.recvSome(buf, sizeof(buf));
-        if (n == 0)
-            break;
-        dec.feed(buf, n);
-        while (dec.poll(f)) {
-            if (f.type == MsgType::Error) {
-                PayloadReader r(f.payload);
-                EXPECT_EQ(r.u8(), 1u); // fatal
-                message = r.str(64 * 1024);
-                sawError = true;
-            }
+    while (readFrame(s, dec, f)) {
+        if (f.type == MsgType::Error) {
+            PayloadReader r(f.payload);
+            EXPECT_EQ(r.u8(), 1u); // fatal
+            message = r.str(64 * 1024);
+            sawError = true;
         }
     }
     auto elapsed =
@@ -800,9 +818,9 @@ TEST_P(NetCores, RequestDeadlineEvictsASlowlorisMidFrame)
     EXPECT_EQ(server.sessionsEvicted(), 1u);
 }
 
-TEST_P(NetCores, PingReportsLoadAndUptime)
+TEST_F(NetLoopback, PingReportsLoadAndUptime)
 {
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 2;
     TeaServer server(cfg);
     server.start();
@@ -818,9 +836,9 @@ TEST_P(NetCores, PingReportsLoadAndUptime)
     server.stop();
 }
 
-TEST_P(NetCores, GracefulShutdownDrainsAndUnblocksClients)
+TEST_F(NetLoopback, GracefulShutdownDrainsAndUnblocksClients)
 {
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 2;
     TeaServer server(cfg);
     server.start();

@@ -617,7 +617,6 @@ TEST(HttpFuzz, SniffAnswersOnceOrClosesAndTheWireStillReplays)
     ASSERT_TRUE(reference.ok());
 
     ServerConfig cfg;
-    cfg.core = ServerCore::EventLoop; // HTTP shares the loop listener
     cfg.workers = 2;
     TeaServer server(cfg);
     server.start();

@@ -407,41 +407,13 @@ TEST(Stats, StatsBeforeHelloIsAProtocolViolation)
     EXPECT_FALSE(session.consume(wire.data(), wire.size(), out));
 }
 
-/** A fixture run once per connection engine (see NetCores, test_net). */
-class CoreParam : public ::testing::TestWithParam<ServerCore>
-{
-  protected:
-    ServerConfig
-    baseConfig() const
-    {
-        ServerConfig cfg;
-        cfg.core = GetParam();
-        return cfg;
-    }
-};
-
-std::string
-coreName(const ::testing::TestParamInfo<ServerCore> &info)
-{
-    return info.param == ServerCore::Blocking ? "Blocking" : "EventLoop";
-}
-
-class StatsCores : public CoreParam
-{
-};
-
-INSTANTIATE_TEST_SUITE_P(Cores, StatsCores,
-                         ::testing::Values(ServerCore::Blocking,
-                                           ServerCore::EventLoop),
-                         coreName);
-
-TEST_P(StatsCores, LoopbackSnapshotMatchesClientSideTally)
+TEST(Stats, LoopbackSnapshotMatchesClientSideTally)
 {
     Workload wl = Workloads::build("syn.gzip", InputSize::Test);
     std::vector<uint8_t> log = recordLog(wl.program);
     Tea tea = recordTea(wl.program);
 
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 2;
     TeaServer server(cfg);
     server.start();
@@ -492,16 +464,7 @@ TEST_P(StatsCores, LoopbackSnapshotMatchesClientSideTally)
 
 // ------------------------------------------------------------ slow requests
 
-class SlowRequests : public CoreParam
-{
-};
-
-INSTANTIATE_TEST_SUITE_P(Cores, SlowRequests,
-                         ::testing::Values(ServerCore::Blocking,
-                                           ServerCore::EventLoop),
-                         coreName);
-
-TEST_P(SlowRequests, InjectedLatencyTripsTheLogAndCleanRunsStaySilent)
+TEST(SlowRequests, InjectedLatencyTripsTheLogAndCleanRunsStaySilent)
 {
     Workload wl = Workloads::build("syn.gzip", InputSize::Test);
     std::vector<uint8_t> log = recordLog(wl.program);
@@ -509,7 +472,7 @@ TEST_P(SlowRequests, InjectedLatencyTripsTheLogAndCleanRunsStaySilent)
 
     // Clean run first: a generous threshold must never fire.
     {
-        ServerConfig cfg = baseConfig();
+        ServerConfig cfg;
         cfg.workers = 1;
         cfg.slowRequestMs = 60000;
         TeaServer server(cfg);
@@ -526,7 +489,7 @@ TEST_P(SlowRequests, InjectedLatencyTripsTheLogAndCleanRunsStaySilent)
     // request (BEGIN through END, several sends) takes well over the
     // 1 ms threshold on the server's clock.
     {
-        ServerConfig cfg = baseConfig();
+        ServerConfig cfg;
         cfg.workers = 1;
         cfg.slowRequestMs = 1;
         TeaServer server(cfg);
@@ -565,7 +528,7 @@ captureWarn(const char *tag, const char *msg)
     g_warnLines.emplace_back(msg);
 }
 
-TEST_P(SlowRequests, FirstLineAfterAFloodReportsTheSuppressedCount)
+TEST(SlowRequests, FirstLineAfterAFloodReportsTheSuppressedCount)
 {
     Workload wl = Workloads::build("syn.gzip", InputSize::Test);
     std::vector<uint8_t> log = recordLog(wl.program);
@@ -590,7 +553,7 @@ TEST_P(SlowRequests, FirstLineAfterAFloodReportsTheSuppressedCount)
     }
     setLogSink(captureWarn);
 
-    ServerConfig cfg = baseConfig();
+    ServerConfig cfg;
     cfg.workers = 1;
     cfg.slowRequestMs = 1;
     TeaServer server(cfg);
