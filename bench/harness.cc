@@ -73,7 +73,11 @@ memoryExperiment(const Workload &w, const std::string &selector,
     cell.tbbs = traces.totalBlocks();
     for (const TraceMemory &m : accountTraces(w.program, traces))
         cell.dbtBytes += m.total();
-    cell.teaBytes = buildTea(traces).serializedBytes();
+    Tea tea = buildTea(traces);
+    cell.teaBytes = tea.serializedBytes();
+    CompiledTea compiled(tea);
+    cell.compiledBytes = compiled.footprintBytes();
+    cell.teacBytes = compiled.serialize().size();
     return cell;
 }
 
@@ -106,13 +110,12 @@ replayExperiment(const Workload &w, const Baseline &base,
 
 RunOutcome
 teaRecordExperiment(const Workload &w, const Baseline &base,
-                    const std::string &selector, LookupConfig lookup,
-                    SelectorConfig config)
+                    const std::string &selector, SelectorConfig config)
 {
     RunOutcome out;
     // Pin's own dynamic blocks: split at CPUID/REP, count per iteration.
     out.hostMillis = minWallMs([&] {
-        TeaRecorder recorder(makeSelector(selector, config), lookup);
+        TeaRecorder recorder(makeSelector(selector, config));
         Machine machine(w.program);
         BlockTracker tracker(
             w.program,

@@ -73,7 +73,9 @@ struct MemoryCell
     size_t traces = 0;
     size_t tbbs = 0;
     size_t dbtBytes = 0;
-    size_t teaBytes = 0;
+    size_t teaBytes = 0;      ///< serialized `.tea` (the paper's TEA)
+    size_t compiledBytes = 0; ///< CompiledTea lookup structures
+    size_t teacBytes = 0;     ///< the served `.teac` image
 
     double
     savings() const
@@ -114,7 +116,6 @@ RunOutcome replayExperiment(const Workload &w, const Baseline &base,
  */
 RunOutcome teaRecordExperiment(const Workload &w, const Baseline &base,
                                const std::string &selector,
-                               LookupConfig lookup,
                                SelectorConfig config = {});
 
 /**

@@ -34,8 +34,11 @@
  * carries at least one scrape. `--min-scrape-ratio X` gates scraped
  * replay throughput at X times unscraped (CI pins it at 0.95), so a
  * scrape can never quietly tax the replay path. A test batch lasts a
- * few milliseconds, so the gate takes the median ratio of 51
- * interleaved unscraped/scraped batch pairs rather than one sample.
+ * few milliseconds, where thread start-up and scheduling swamp a 5%
+ * cost, so every gate batch replays the stream set over again on the
+ * same connections until it lasts ~100 ms, and the gate takes the
+ * median ratio of 21 interleaved unscraped/scraped pairs of those.
+ * The table's scraped row is one such stretched batch.
  *
  * The held-open pile is fully accepted (the server's activeSessions()
  * equals the pile) before the clock starts, so the row times the batch
@@ -89,11 +92,12 @@ using namespace tea::bench;
 namespace {
 
 /**
- * Unscraped/scraped batch pairs behind the scrape gate's median. A
- * test batch takes milliseconds, so one pair is noise; 51 pairs of
- * test batches cost a few seconds.
+ * Unscraped/scraped batch pairs behind the scrape gate's median, and
+ * the wall time each batch of a pair is stretched to: long enough to
+ * resolve a 5% cost, short enough that 21 pairs cost ~5 s.
  */
-constexpr size_t kScrapePairs = 51;
+constexpr size_t kScrapePairs = 21;
+constexpr double kScrapeBatchMs = 100.0;
 
 /**
  * Local/remote batch pairs behind the remote-ratio gate's median. A
@@ -223,13 +227,14 @@ main(int argc, char **argv)
     double base_sps = 0.0; // the speedup column's 1-client baseline
 
     // One measured configuration: `clients` threads splitting the
-    // batch round-robin against a fresh server, with `heldOpen` extra
-    // idle connections parked on it and (when `scrape` is set) a
-    // concurrent 1 Hz HTTP /metrics scraper on the same listener for
-    // the duration. Returns streams/sec, or a negative value after
-    // printing the failure; adds a table row when `row` is set.
+    // batch round-robin against a fresh server, `rounds` times over
+    // on the same connections, with `heldOpen` extra idle connections
+    // parked on it and (when `scrape` is set) a concurrent 1 Hz HTTP
+    // /metrics scraper on the same listener for the duration. Returns
+    // streams/sec, or a negative value after printing the failure;
+    // adds a table row when `row` is set.
     auto runScale = [&](unsigned clients, size_t heldOpen, bool scrape,
-                        bool row) -> double {
+                        bool row, size_t rounds = 1) -> double {
         ServerConfig cfg;
         cfg.endpoint = "tcp:127.0.0.1:0";
         TeaServer server(cfg);
@@ -304,11 +309,14 @@ main(int argc, char **argv)
                     TeaClient client = TeaClient::connect(ep);
                     RemoteReplayOptions opt;
                     opt.wantProfile = true;
-                    for (size_t s = c; s < streams; s += clients) {
-                        RemoteReplayResult r =
-                            client.replay("gzip", log, opt);
-                        results[s].stats = r.stats;
-                        results[s].execCounts = std::move(r.execCounts);
+                    for (size_t round = 0; round < rounds; ++round) {
+                        for (size_t s = c; s < streams; s += clients) {
+                            RemoteReplayResult r =
+                                client.replay("gzip", log, opt);
+                            results[s].stats = r.stats;
+                            results[s].execCounts =
+                                std::move(r.execCounts);
+                        }
                     }
                     wire[c] =
                         client.bytesSent() + client.bytesReceived();
@@ -360,7 +368,8 @@ main(int argc, char **argv)
             return -1.0;
         }
 
-        double sps = ms > 0 ? 1e3 * static_cast<double>(streams) / ms : 0;
+        double done = static_cast<double>(streams * rounds);
+        double sps = ms > 0 ? 1e3 * done / ms : 0;
         if (clients == 1 && heldOpen == 0 && !scrape)
             base_sps = sps;
         if (!row)
@@ -374,8 +383,7 @@ main(int argc, char **argv)
                       TextTable::num(base_sps > 0 ? sps / base_sps : 0.0,
                                      2),
                       TextTable::num(static_cast<double>(wire_total) /
-                                         static_cast<double>(streams) /
-                                         1024.0,
+                                         done / 1024.0,
                                      1)});
         return sps;
     };
@@ -391,12 +399,19 @@ main(int argc, char **argv)
         return 1;
 
     // The scraped rows: the same 8-client batch without and with the
-    // 1 Hz /metrics scraper sharing the listener, interleaved. The
-    // first scraped batch is the table's scraped row.
+    // 1 Hz /metrics scraper sharing the listener, interleaved, each
+    // stretched to ~kScrapeBatchMs by a round count calibrated on one
+    // unscraped 16-round batch. The first scraped batch is the table's
+    // row.
+    double calib = runScale(8, 0, false, false, 16);
+    if (calib < 0)
+        return 1;
+    size_t rounds = static_cast<size_t>(std::max(
+        1.0, kScrapeBatchMs * calib / 1e3 / static_cast<double>(streams)));
     std::vector<double> scrape_ratios;
     for (size_t rep = 0; rep < kScrapePairs; ++rep) {
-        double plain = runScale(8, 0, false, false);
-        double scraped = runScale(8, 0, true, rep == 0);
+        double plain = runScale(8, 0, false, false, rounds);
+        double scraped = runScale(8, 0, true, rep == 0, rounds);
         if (plain < 0 || scraped < 0)
             return 1;
         scrape_ratios.push_back(plain > 0 ? scraped / plain : 0.0);
@@ -412,9 +427,9 @@ main(int argc, char **argv)
     int status = 0;
     double scrape_ratio = percentile(scrape_ratios, 50);
     std::printf("scraped vs unscraped at 8 clients: %.2fx median of %zu "
-                "interleaved batch pairs under a 1 Hz /metrics scraper "
-                "(pairs %.2f-%.2fx)\n",
-                scrape_ratio, kScrapePairs,
+                "interleaved pairs of %zu-round batches under a 1 Hz "
+                "/metrics scraper (pairs %.2f-%.2fx)\n",
+                scrape_ratio, kScrapePairs, rounds,
                 *std::min_element(scrape_ratios.begin(),
                                   scrape_ratios.end()),
                 *std::max_element(scrape_ratios.begin(),

@@ -2,7 +2,7 @@
  * @file
  * Online recording throughput and the incremental-recompile payoff.
  *
- * Two measurements, matching the rec/ subsystem's two promises:
+ * Three measurements, matching the recording path's promises:
  *
  *   ingest    —  transitions/sec through a RecordingSession doing the
  *                full online loop: Algorithm 2 growth, periodic
@@ -14,14 +14,23 @@
  *                the delta path (CompiledTea::recompile). The ratio is
  *                the whole point of the delta path: publish cost must
  *                track the *growth*, not the automaton size.
+ *   ref record — TeaRecorder over the ref-size gcc and gzip streams,
+ *                under MRET and TT: ns/transition as the median (and
+ *                quartiles) of interleaved gcc/gzip pairs. gcc installs
+ *                hundreds of traces and gzip a few dozen, so a recorder
+ *                whose install cost grows with the automaton shows up
+ *                as a gcc/gzip ratio far above 1.
  *
  * Asserts bit identity between the delta and full images so the fast
  * path cannot win by publishing different bytes. --min-ratio X turns
- * the comparison into a CI gate (perf-smoke pins it at 3 with
- * --traces 400, growth well under the churn ceiling), and --json
- * dumps everything machine-readably.
+ * the recompile comparison into a CI gate (perf-smoke pins it at 3
+ * with --traces 2000), --max-record-ratio X gates the median MRET
+ * gcc/gzip ratio (TT is reported, not gated: its extension installs
+ * rebuild the automaton by design), and --json dumps everything
+ * machine-readably.
  *
  * Usage: rec_throughput [--traces N] [--json FILE] [--min-ratio X]
+ *                       [--max-record-ratio X]
  */
 
 #include <cstdio>
@@ -35,9 +44,14 @@
 #include "svc/registry.hh"
 #include "tea/builder.hh"
 #include "tea/compiled.hh"
+#include "tea/recorder.hh"
+#include "trace/factory.hh"
 #include "util/logging.hh"
+#include "util/stats.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
+#include "vm/machine.hh"
+#include "workloads/workload.hh"
 
 using namespace tea;
 
@@ -92,6 +106,76 @@ appendRegionStream(std::vector<BlockTransition> &out, size_t region,
     return out.size() - before;
 }
 
+/** gcc/gzip pairs behind the ref record row: enough for quartiles. */
+constexpr int kRefPairs = 11;
+
+/** A workload's full block-transition stream at `size`. */
+std::vector<BlockTransition>
+captureStream(const std::string &name, InputSize size)
+{
+    Program prog = Workloads::build(name, size).program;
+    std::vector<BlockTransition> out;
+    Machine m(prog);
+    BlockTracker tracker(
+        prog, [&](const BlockTransition &tr) { out.push_back(tr); },
+        /*rep_per_iteration=*/false, /*collect_blocks=*/false);
+    m.runHooked([&](const EdgeEvent &ev) { tracker.onEdge(ev); }, false);
+    return out;
+}
+
+/** One TeaRecorder's installs and traces after a pass. */
+struct RecordCount
+{
+    uint64_t installs = 0;
+    uint64_t traces = 0;
+};
+
+/** Record `stream` once under `selector`; returns ns/transition. */
+double
+recordNsPerTransition(const std::vector<BlockTransition> &stream,
+                      const std::string &selector, RecordCount &count)
+{
+    TeaRecorder recorder(makeSelector(selector));
+    Stopwatch timer;
+    for (const BlockTransition &tr : stream)
+        recorder.feed(tr);
+    double ns = timer.elapsedMillis() * 1e6 /
+                static_cast<double>(stream.size());
+    count.installs = recorder.installs();
+    count.traces = recorder.traces().size();
+    return ns;
+}
+
+/** Median and quartiles of a series. */
+struct Spread
+{
+    double q1, median, q3;
+
+    explicit Spread(const std::vector<double> &v)
+        : q1(percentile(v, 25)), median(percentile(v, 50)),
+          q3(percentile(v, 75))
+    {
+    }
+
+    std::string
+    json() const
+    {
+        char buf[128];
+        std::snprintf(buf, sizeof(buf),
+                      "{\"q1\": %.3f, \"median\": %.3f, \"q3\": %.3f}", q1,
+                      median, q3);
+        return buf;
+    }
+};
+
+/** The ref-size record row of one selector. */
+struct RefRecordRow
+{
+    std::string selector;
+    std::vector<double> gccNs, gzipNs, ratio;
+    RecordCount gcc, gzip;
+};
+
 } // namespace
 
 int
@@ -100,9 +184,12 @@ main(int argc, char **argv)
     size_t traces = 400;
     std::string json_path;
     double min_ratio = 0.0;
+    double max_record_ratio = 0.0;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--traces") && i + 1 < argc)
             traces = static_cast<size_t>(std::atoi(argv[i + 1]));
+        else if (!std::strcmp(argv[i], "--max-record-ratio") && i + 1 < argc)
+            max_record_ratio = std::atof(argv[i + 1]);
         else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
             json_path = argv[i + 1];
         else if (!std::strcmp(argv[i], "--min-ratio") && i + 1 < argc)
@@ -155,15 +242,12 @@ main(int argc, char **argv)
         full_ms = std::min(full_ms, timer.elapsedMillis());
     }
     for (int rep = 0; rep < kReps; ++rep) {
-        CompiledTea::RecompileInfo info;
+        uint64_t deltas = CompiledTea::recompileCount();
         Stopwatch timer;
-        delta = CompiledTea::recompile(grownTea, prev,
-                                       /*appendOnly=*/true, 0.5, &info);
+        delta = CompiledTea::recompile(grownTea, prev, /*appendOnly=*/true);
         delta_ms = std::min(delta_ms, timer.elapsedMillis());
-        if (!info.incremental) {
-            std::fprintf(stderr, "FAIL: delta path fell back (%s)\n",
-                         info.fallbackReason ? info.fallbackReason
-                                             : "unknown");
+        if (CompiledTea::recompileCount() != deltas + 1) {
+            std::fprintf(stderr, "FAIL: delta path fell back\n");
             return 1;
         }
     }
@@ -177,6 +261,31 @@ main(int argc, char **argv)
 
     double ratio = delta_ms > 0 ? full_ms / delta_ms : 0.0;
 
+    // ------------------------------------------ ref-size record: gcc/gzip
+    // Interleaved pairs (alternating which program runs first), so host
+    // drift hits both sides of a pair alike.
+    std::vector<BlockTransition> gccStream =
+        captureStream("syn.gcc", InputSize::Ref);
+    std::vector<BlockTransition> gzipStream =
+        captureStream("syn.gzip", InputSize::Ref);
+    std::vector<RefRecordRow> rows = {{"mret", {}, {}, {}, {}, {}},
+                                      {"tt", {}, {}, {}, {}, {}}};
+    for (int p = 0; p < kRefPairs; ++p) {
+        for (RefRecordRow &row : rows) {
+            double gzipNs = 0, gccNs = 0;
+            if (p % 2 == 0)
+                gzipNs = recordNsPerTransition(gzipStream, row.selector,
+                                               row.gzip);
+            gccNs = recordNsPerTransition(gccStream, row.selector, row.gcc);
+            if (p % 2 != 0)
+                gzipNs = recordNsPerTransition(gzipStream, row.selector,
+                                               row.gzip);
+            row.gccNs.push_back(gccNs);
+            row.gzipNs.push_back(gzipNs);
+            row.ratio.push_back(gccNs / gzipNs);
+        }
+    }
+
     std::printf("rec_throughput: %zu-transition stream over %zu "
                 "regions; recompile at %zu(+%zu) traces\n",
                 stream.size(), kRegions, traces, growth);
@@ -189,6 +298,24 @@ main(int argc, char **argv)
     std::fputs(table.render().c_str(), stdout);
     std::printf("session published %llu hot-swaps while ingesting\n",
                 static_cast<unsigned long long>(swaps));
+
+    std::printf("ref-size TeaRecorder, median [q1, q3] of %d interleaved "
+                "pairs (%zu gcc / %zu gzip transitions):\n",
+                kRefPairs, gccStream.size(), gzipStream.size());
+    TextTable refTable({"selector", "gcc ns/trans", "gzip ns/trans",
+                        "gcc/gzip", "gcc installs (ext)"});
+    auto cell = [](const Spread &s) {
+        return TextTable::num(s.median, 1) + " [" + TextTable::num(s.q1, 1) +
+               ", " + TextTable::num(s.q3, 1) + "]";
+    };
+    for (const RefRecordRow &row : rows) {
+        refTable.addRow(
+            {row.selector, cell(Spread(row.gccNs)), cell(Spread(row.gzipNs)),
+             TextTable::num(Spread(row.ratio).median, 2) + "x",
+             std::to_string(row.gcc.installs) + " (" +
+                 std::to_string(row.gcc.installs - row.gcc.traces) + ")"});
+    }
+    std::fputs(refTable.render().c_str(), stdout);
 
     if (!json_path.empty()) {
         FILE *f = std::fopen(json_path.c_str(), "w");
@@ -208,18 +335,51 @@ main(int argc, char **argv)
         std::fprintf(f, "  \"fullRecompileMs\": %.4f,\n", full_ms);
         std::fprintf(f, "  \"incrementalRecompileMs\": %.4f,\n",
                      delta_ms);
-        std::fprintf(f, "  \"incrementalSpeedup\": %.2f\n", ratio);
+        std::fprintf(f, "  \"incrementalSpeedup\": %.2f,\n", ratio);
+        std::fprintf(f, "  \"refRecord\": {\n");
+        std::fprintf(f, "    \"pairs\": %d,\n", kRefPairs);
+        std::fprintf(f, "    \"gccTransitions\": %zu,\n", gccStream.size());
+        std::fprintf(f, "    \"gzipTransitions\": %zu,\n",
+                     gzipStream.size());
+        for (size_t i = 0; i < rows.size(); ++i) {
+            const RefRecordRow &row = rows[i];
+            std::fprintf(f, "    \"%s\": {\n", row.selector.c_str());
+            std::fprintf(f, "      \"gccNsPerTransition\": %s,\n",
+                         Spread(row.gccNs).json().c_str());
+            std::fprintf(f, "      \"gzipNsPerTransition\": %s,\n",
+                         Spread(row.gzipNs).json().c_str());
+            std::fprintf(f, "      \"gccOverGzip\": %s,\n",
+                         Spread(row.ratio).json().c_str());
+            std::fprintf(f, "      \"gccInstalls\": %llu,\n",
+                         static_cast<unsigned long long>(row.gcc.installs));
+            std::fprintf(f, "      \"gccExtensionInstalls\": %llu,\n",
+                         static_cast<unsigned long long>(row.gcc.installs -
+                                                         row.gcc.traces));
+            std::fprintf(f, "      \"gzipInstalls\": %llu\n",
+                         static_cast<unsigned long long>(row.gzip.installs));
+            std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
+        }
+        std::fprintf(f, "  }\n");
         std::fprintf(f, "}\n");
         std::fclose(f);
         std::printf("wrote %s\n", json_path.c_str());
     }
 
+    int failed = 0;
     if (min_ratio > 0.0 && ratio < min_ratio) {
         std::fprintf(stderr,
                      "FAIL: incremental recompile only %.2fx faster "
                      "than full (gate %.2fx)\n",
                      ratio, min_ratio);
-        return 1;
+        failed = 1;
     }
-    return 0;
+    double recordRatio = Spread(rows[0].ratio).median;
+    if (max_record_ratio > 0.0) {
+        bool ok = recordRatio <= max_record_ratio;
+        std::fprintf(ok ? stdout : stderr,
+                     "%s: gcc/gzip MRET record ratio %.2fx (gate %.2fx)\n",
+                     ok ? "PASS" : "FAIL", recordRatio, max_record_ratio);
+        failed |= ok ? 0 : 1;
+    }
+    return failed;
 }

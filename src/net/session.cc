@@ -406,9 +406,6 @@ Session::handleRequest(const Frame &frame, std::vector<uint8_t> &out)
             if (!selector.empty())
                 rc.selector = std::move(selector);
         }
-        // Deliberately the default LookupConfig, not the server's
-        // replay lookup: the online recorder must be bit-identical to
-        // a default offline TeaRecorder over the same transitions.
         recSession = recSvc->begin(name, std::move(rc));
         recChunksV2 = (flags & RecordFlags::kChunksV2) != 0;
         state = State::Recording;

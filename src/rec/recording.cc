@@ -10,14 +10,29 @@
 namespace tea {
 namespace rec {
 
+namespace {
+
+/** The instruments of an unbound session: every handle null. */
+const RecMetrics kUnbound;
+
+void
+bump(obs::Counter *c)
+{
+    if (c != nullptr)
+        c->inc();
+}
+
+} // namespace
+
 RecordingSession::RecordingSession(std::string name,
                                    AutomatonRegistry &registry_,
                                    AutomatonStore *store_,
                                    RecordingConfig config,
                                    const RecMetrics *metrics_)
     : name_(std::move(name)), registry(registry_), store(store_),
-      cfg(std::move(config)), metrics(metrics_),
-      recorder(makeSelector(cfg.selector), cfg.lookup)
+      cfg(std::move(config)),
+      metrics(metrics_ != nullptr ? metrics_ : &kUnbound),
+      recorder(makeSelector(cfg.selector))
 {
     // Store-name rules apply even without a store attached, so a
     // recording can always be persisted later.
@@ -25,18 +40,18 @@ RecordingSession::RecordingSession(std::string name,
         fatal("rec: invalid automaton name '%s'", name_.c_str());
     if (cfg.swapInterval == 0)
         fatal("rec: swap interval must be positive");
-    if (metrics != nullptr && metrics->sessions != nullptr)
-        metrics->sessions->inc();
+    bump(metrics->sessions);
+    bump(metrics->recompilesFull); // the recorder's initial NTE image
     // Resolve the per-automaton ingest series once; feed() then pays
     // one relaxed fetch_add, not a label-map lookup per transition.
-    if (metrics != nullptr && metrics->transitionsBy != nullptr)
+    if (metrics->transitionsBy != nullptr)
         transitionsBy_ = &metrics->transitionsBy->at(name_);
 }
 
 RecordingSession::~RecordingSession()
 {
-    if (!finished_ && metrics != nullptr && metrics->aborted != nullptr)
-        metrics->aborted->inc();
+    if (!finished_)
+        bump(metrics->aborted);
     if (owner != nullptr)
         owner->release(name_);
 }
@@ -45,13 +60,21 @@ void
 RecordingSession::feed(const BlockTransition &tr)
 {
     TEA_ASSERT(!finished_, "rec: feed after finish");
+    uint64_t installs = recorder.installs();
+    size_t traces = recorder.traces().size();
     recorder.feed(tr);
+    if (recorder.installs() != installs) {
+        // A new trace extended the recorder's image; an extended trace
+        // rebuilt it.
+        unpublished = true;
+        bump(recorder.traces().size() != traces
+                 ? metrics->recompilesIncremental
+                 : metrics->recompilesFull);
+    }
     ++transitionCount;
     ++sinceSwap;
-    if (metrics != nullptr && metrics->transitions != nullptr)
-        metrics->transitions->inc();
-    if (transitionsBy_ != nullptr)
-        transitionsBy_->inc();
+    bump(metrics->transitions);
+    bump(transitionsBy_);
     maybeSwap();
 }
 
@@ -67,13 +90,10 @@ RecordingSession::maybeSwap()
 {
     if (sinceSwap < cfg.swapInterval)
         return;
-    if (recorder.installs() == installsAtCompile) {
-        // Idle interval: nothing grew, nothing to publish. Reset so
-        // the next interval starts from here.
-        sinceSwap = 0;
-        return;
-    }
-    swapNow();
+    // An idle interval publishes nothing; the next starts from here.
+    if (unpublished)
+        swapNow();
+    sinceSwap = 0;
 }
 
 void
@@ -81,20 +101,11 @@ RecordingSession::swapNow()
 {
     auto t0 = std::chrono::steady_clock::now();
 
-    // The automaton grew append-only iff every install since the last
-    // publish added a trace: NewTrace grows traces() by one,
-    // ExtendTrace replaces one in place (reshuffling state ids).
-    bool appendOnly =
-        recorder.traces().size() - tracesAtCompile ==
-        recorder.installs() - installsAtCompile;
-
-    auto snapshot = std::make_shared<const Tea>(recorder.tea());
-    CompiledTea::RecompileInfo info;
-    auto next = CompiledTea::recompile(std::move(snapshot), current_,
-                                       appendOnly, cfg.maxChurn, &info);
-    current_ = std::move(next);
-    tracesAtCompile = recorder.traces().size();
-    installsAtCompile = recorder.installs();
+    // The recorder's own image, with one immutable copy of its
+    // automaton attached as the source: nothing is compiled here.
+    current_ = recorder.image()->withSource(
+        std::make_shared<const Tea>(recorder.tea()));
+    unpublished = false;
     sinceSwap = 0;
 
     // Publish: new requests resolve the grown automaton; in-flight
@@ -105,23 +116,11 @@ RecordingSession::swapNow()
         registry.replace(name_, current_);
     ++swapCount;
 
-    if (metrics != nullptr) {
-        if (!info.unchanged) {
-            obs::Counter *c = info.incremental
-                                  ? metrics->recompilesIncremental
-                                  : metrics->recompilesFull;
-            if (c != nullptr)
-                c->inc();
-        }
-        if (metrics->swaps != nullptr)
-            metrics->swaps->inc();
-        if (metrics->swapMs != nullptr) {
-            double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-            metrics->swapMs->observe(ms);
-        }
-    }
+    bump(metrics->swaps);
+    if (metrics->swapMs != nullptr)
+        metrics->swapMs->observe(std::chrono::duration<double, std::milli>(
+                                     std::chrono::steady_clock::now() - t0)
+                                     .count());
 }
 
 RecordingResultSummary
@@ -129,10 +128,10 @@ RecordingSession::finish()
 {
     TEA_ASSERT(!finished_, "rec: finish called twice");
 
-    // Publish any unpublished growth; also compile at least once so a
+    // Publish any unpublished growth; also publish at least once so a
     // trace-free recording still leaves the name resolvable (an
     // all-NTE automaton replays every stream as untraced).
-    if (current_ == nullptr || recorder.installs() != installsAtCompile)
+    if (current_ == nullptr || unpublished)
         swapNow();
 
     if (store != nullptr)

@@ -8,10 +8,16 @@
  * stack (the ROADMAP's record-and-serve item): it wraps a TeaRecorder
  * behind a deliberately mutex-free single-writer API, accepts streamed
  * BlockTransition batches (the RECORD wire verb's chunks, or a local
- * driver), and periodically *publishes* the grown automaton — an
- * incremental recompile (tea/compiled.hh recompile()) followed by an
- * atomic registry hot-swap — so replay traffic sees the automaton
- * grow while the recording is still running.
+ * driver), and periodically *publishes* the grown automaton through an
+ * atomic registry hot-swap, so replay traffic sees the automaton grow
+ * while the recording is still running.
+ *
+ * The session compiles nothing. The recorder is the one place the
+ * automaton grows and compiles (tea/recorder.hh): each install extends
+ * or rebuilds its image. A publish copies the recorder's Tea once and
+ * hands the registry the recorder's own image with that copy attached
+ * as its immutable source (CompiledTea::withSource()), so a publish
+ * costs the Tea copy, not a compile.
  *
  * Concurrency contract: exactly ONE thread drives feed()/finish() —
  * the net session's connection thread, or a bench loop. The session
@@ -25,8 +31,8 @@
  * transitions, and performed only if the recorder installed at least
  * one trace since the last published snapshot — an idle interval
  * publishes nothing. finish() publishes whatever growth is still
- * unpublished (compiling the automaton at least once, so even a
- * trace-free recording leaves the name resolvable) and, when a store
+ * unpublished (and publishes at least once, so even a trace-free
+ * recording leaves the name resolvable) and, when a store
  * is attached, writes the final `.teac` through the atomic tmp+rename
  * path. An *abandoned* session (destroyed unfinished — the chaos
  * disconnect case) publishes nothing further: the last swapped
@@ -60,17 +66,8 @@ struct RecordingConfig
     /** Trace-selection policy (trace/factory.hh names). */
     std::string selector = "mret";
 
-    /** Lookup configuration for the recorder's embedded replayer. */
-    LookupConfig lookup;
-
     /** Transitions fed between hot-swap attempts. */
     uint32_t swapInterval = 4096;
-
-    /**
-     * Incremental-recompile churn ceiling (tea/compiled.hh): when the
-     * appended state fraction exceeds this, fall back to full compile.
-     */
-    double maxChurn = 0.5;
 };
 
 /**
@@ -83,11 +80,11 @@ struct RecMetrics
 {
     obs::Counter *sessions = nullptr;      ///< sessions ever begun
     obs::Counter *transitions = nullptr;   ///< transitions ingested
-    obs::Counter *recompilesFull = nullptr;
-    obs::Counter *recompilesIncremental = nullptr;
+    obs::Counter *recompilesFull = nullptr;        ///< recorder rebuilds
+    obs::Counter *recompilesIncremental = nullptr; ///< recorder appends
     obs::Counter *swaps = nullptr;         ///< snapshots published
     obs::Counter *aborted = nullptr;       ///< sessions abandoned
-    obs::Histogram *swapMs = nullptr;      ///< recompile+publish latency
+    obs::Histogram *swapMs = nullptr;      ///< publish latency
     /** Per-automaton ingest family (rec.transitions_by_automaton).
      *  Each session resolves its own series handle once at open. */
     obs::LabeledCounter *transitionsBy = nullptr;
@@ -168,7 +165,7 @@ class RecordingSession
     /** Swap if the interval elapsed and the automaton grew. */
     void maybeSwap();
 
-    /** Recompile (delta when possible) and publish unconditionally. */
+    /** Publish the recorder's image unconditionally. */
     void swapNow();
 
     std::string name_;
@@ -184,9 +181,8 @@ class RecordingSession
     std::shared_ptr<const CompiledTea> current_;
 
     uint64_t transitionCount = 0;
-    uint64_t sinceSwap = 0;           ///< transitions since last publish
-    uint64_t tracesAtCompile = 0;     ///< traces() at last publish
-    uint64_t installsAtCompile = 0;   ///< installs() at last publish
+    uint64_t sinceSwap = 0;  ///< transitions since last publish
+    bool unpublished = false; ///< the recorder installed since then
     uint64_t swapCount = 0;
     bool finished_ = false;
 };

@@ -108,51 +108,74 @@ Tea::addEntry(StateId to)
 }
 
 void
+Tea::appendTrace(const Trace &t)
+{
+    // Lines 3-5: one state per TBB.
+    for (uint32_t b = 0; b < t.blocks.size(); ++b) {
+        const TraceBasicBlock &tbb = t.blocks[b];
+        addState(t.id, b, tbb.start, tbb.end, tbb.loopHeader);
+    }
+    // Lines 6-14: transitions out of TBBs. Successors that are trace
+    // blocks get explicit transitions labeled with the successor's
+    // start address; all other successors fall back to NTE implicitly.
+    for (const Trace::Edge &e : t.edges) {
+        StateId from = stateFor(t.id, e.from);
+        StateId to = stateFor(t.id, e.to);
+        TEA_ASSERT(from != kNteState && to != kNteState,
+                   "edge references unknown TBB");
+        addTransition(from, to);
+    }
+    // Lines 15-17: NTE -> the trace entry, labeled with its address.
+    addEntry(stateFor(t.id, 0));
+}
+
+void
 Tea::validate(const TraceSet &traces) const
 {
-    // Property 1: every TBB of every trace has exactly one state.
+    // Property 1: every TBB of every trace has exactly one state, so
+    // the per-trace checks below cover every state.
     size_t expected = traces.totalBlocks();
     TEA_ASSERT(numTbbStates() == expected,
                "state count %zu != TBB count %zu", numTbbStates(),
                expected);
-    for (const Trace &t : traces.all()) {
-        for (uint32_t b = 0; b < t.blocks.size(); ++b) {
-            StateId id = stateFor(t.id, b);
-            TEA_ASSERT(id != kNteState, "missing state for trace %u "
-                       "tbb %u", t.id, b);
-            const TeaState &s = states[id];
-            TEA_ASSERT(s.start == t.blocks[b].start &&
-                       s.end == t.blocks[b].end,
-                       "state/TBB address mismatch");
-        }
-        // Property 2: every intra-trace edge is represented.
-        for (const Trace::Edge &e : t.edges) {
-            StateId from = stateFor(t.id, e.from);
-            StateId to = stateFor(t.id, e.to);
-            const auto &succs = states[from].succs;
-            TEA_ASSERT(std::find(succs.begin(), succs.end(), to) !=
-                       succs.end(),
-                       "edge (%u: %u -> %u) missing from TEA", t.id,
-                       e.from, e.to);
-        }
-        // Each trace must be reachable from NTE at its entry.
-        TEA_ASSERT(entryAt(t.entry()) == stateFor(t.id, 0),
-                   "trace %u entry not wired to NTE", t.id);
-    }
-    // Determinism: per state, out-labels are unique.
-    for (size_t i = 1; i < states.size(); ++i) {
-        std::set<Addr> labels;
-        for (StateId t : states[i].succs) {
-            TEA_ASSERT(labels.insert(states[t].start).second,
-                       "state %zu is nondeterministic on %s", i,
-                       hex32(states[t].start).c_str());
-        }
-    }
+    for (const Trace &t : traces.all())
+        validateTrace(t);
     // Entry list sorted / unique and consistent with the map.
     for (size_t i = 1; i < entryList.size(); ++i)
         TEA_ASSERT(entryList[i - 1].first < entryList[i].first,
                    "entry list unsorted");
     TEA_ASSERT(entryList.size() == entryMap.size(), "entry index skew");
+}
+
+void
+Tea::validateTrace(const Trace &t) const
+{
+    for (uint32_t b = 0; b < t.blocks.size(); ++b) {
+        StateId id = stateFor(t.id, b);
+        TEA_ASSERT(id != kNteState, "missing state for trace %u tbb %u",
+                   t.id, b);
+        const TeaState &s = states[id];
+        TEA_ASSERT(s.start == t.blocks[b].start &&
+                   s.end == t.blocks[b].end,
+                   "state/TBB address mismatch");
+        // Determinism: per state, out-labels are unique.
+        std::set<Addr> labels;
+        for (StateId to : s.succs)
+            TEA_ASSERT(labels.insert(states[to].start).second,
+                       "state %u is nondeterministic on %s", id,
+                       hex32(states[to].start).c_str());
+    }
+    // Property 2: every intra-trace edge is represented.
+    for (const Trace::Edge &e : t.edges) {
+        const auto &succs = states[stateFor(t.id, e.from)].succs;
+        TEA_ASSERT(std::find(succs.begin(), succs.end(),
+                             stateFor(t.id, e.to)) != succs.end(),
+                   "edge (%u: %u -> %u) missing from TEA", t.id, e.from,
+                   e.to);
+    }
+    // Each trace must be reachable from NTE at its entry.
+    TEA_ASSERT(entryAt(t.entry()) == stateFor(t.id, 0),
+               "trace %u entry not wired to NTE", t.id);
 }
 
 size_t

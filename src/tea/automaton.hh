@@ -100,6 +100,15 @@ class Tea
 
     /** @name Construction (used by TeaBuilder / deserialization) */
     /// @{
+    /**
+     * Algorithm 1, lines 3-17, for one trace: append a state per TBB,
+     * the trace's intra-trace transitions, and its NTE entry. Existing
+     * states keep their ids, so appending traces in TraceSet order
+     * yields exactly buildTea()'s automaton. Does not validate; see
+     * validateTrace().
+     */
+    void appendTrace(const Trace &trace);
+
     /** Append a TBB state. @return its id. */
     StateId addState(TraceId trace, uint32_t tbb, Addr start, Addr end,
                      bool loop_header);
@@ -122,6 +131,14 @@ class Tea
      * @throws PanicError on violation.
      */
     void validate(const TraceSet &traces) const;
+
+    /**
+     * The per-trace part of validate(): the trace's TBBs have states
+     * (Property 1), its edges have transitions (Property 2), NTE enters
+     * it at its entry, and its states are deterministic.
+     * @throws PanicError on violation.
+     */
+    void validateTrace(const Trace &trace) const;
 
     /**
      * Serialized size in bytes of the compact binary form — the "TEA"

@@ -14,12 +14,13 @@ namespace tea {
 /**
  * Build the whole-program TEA for a trace set (Algorithm 1).
  *
- * Step 1 creates the NTE state (implicit in Tea's constructor); step 2
- * adds one state per TBB (Property 1); step 3 adds, for every TBB, the
- * transitions to its intra-trace successors labeled with the successor's
- * start address, leaves transitions to non-trace successors implicit
- * (they fall back to NTE), and wires NTE to every trace entry
- * (Property 2).
+ * Step 1 creates the NTE state (implicit in Tea's constructor); the rest
+ * runs Tea::appendTrace() once per trace, in TraceSet order: one state
+ * per TBB (Property 1), the transitions to its intra-trace successors
+ * labeled with the successor's start address, with transitions to
+ * non-trace successors left implicit (they fall back to NTE), and the
+ * NTE edge to the trace entry (Property 2). The online recorder runs
+ * the same step per new trace, so the two automata are identical.
  *
  * The result is validated against the input before being returned.
  */

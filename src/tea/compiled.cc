@@ -31,11 +31,31 @@ hashCapacity(size_t n)
 CompiledTea::CompiledTea(const Tea &tea)
 {
     compileCounter.fetch_add(1, std::memory_order_relaxed);
+    build(tea, nullptr, /*embedSource=*/true);
+}
+
+void
+CompiledTea::build(const Tea &tea, const CompiledTea *prefix,
+                   bool embedSource)
+{
+    // A full compile is the delta from the NTE-only prefix.
+    uint32_t prevN = prefix != nullptr ? prefix->nStates : 1;
+    uint64_t succTotal = prefix != nullptr ? prefix->nSuccs_ : 0;
     nStates = static_cast<uint32_t>(tea.numStates());
     nEntries_ = static_cast<uint32_t>(tea.entries().size());
+    TEA_ASSERT(nStates >= prevN, "compiled prefix is larger than the "
+               "automaton");
+    if (prefix != nullptr && prevN > 1) {
+        // Spot-check the append-only claim against the last reused
+        // state; the full differential lives in tests/test_rec.cc.
+        const TeaState &last = tea.state(prevN - 1);
+        TEA_ASSERT(prefix->stateStartP[prevN - 1] == last.start &&
+                       prefix->stateMetaP[prevN - 1].trace == last.trace,
+                   "previous snapshot is not a prefix of the grown "
+                   "automaton");
+    }
 
-    uint64_t succTotal = 0;
-    for (StateId id = 1; id < nStates; ++id)
+    for (StateId id = prevN; id < nStates; ++id)
         succTotal += tea.state(id).succs.size();
     TEA_ASSERT(succTotal <= 0xffffffffull, "transition count overflow");
     nSuccs_ = static_cast<uint32_t>(succTotal);
@@ -43,7 +63,11 @@ CompiledTea::CompiledTea(const Tea &tea)
     uint32_t cap = hashCapacity(nEntries_);
     hashMask = cap - 1;
 
-    std::vector<uint8_t> blob = saveTea(tea);
+    // The source .tea copy is the one section whose cost scales with
+    // the whole automaton, so deltas skip it (see serialize()).
+    std::vector<uint8_t> blob;
+    if (embedSource)
+        blob = saveTea(tea);
     TEA_ASSERT(blob.size() <= 0xffffffffull, "source TEA blob overflow");
     teaBlobLen_ = static_cast<uint32_t>(blob.size());
 
@@ -52,8 +76,8 @@ CompiledTea::CompiledTea(const Tea &tea)
     // image is indistinguishable from a fresh compile.
     TeacLayout lay =
         TeacLayout::compute(nStates, nSuccs_, nEntries_, cap, teaBlobLen_);
-    arena.assign(lay.payloadBytes, 0);
-    uint8_t *base = arena.data();
+    auto buf = std::make_shared<std::vector<uint8_t>>(lay.payloadBytes, 0);
+    uint8_t *base = buf->data();
     auto *succOffset = reinterpret_cast<uint32_t *>(base + lay.offSuccOffset);
     auto *succsOut = reinterpret_cast<Succ *>(base + lay.offSuccs);
     auto *stateStart = reinterpret_cast<Addr *>(base + lay.offStateStart);
@@ -61,30 +85,45 @@ CompiledTea::CompiledTea(const Tea &tea)
     auto *hashSlots = reinterpret_cast<HashSlot *>(base + lay.offHashSlots);
     auto *entriesOut = reinterpret_cast<Entry *>(base + lay.offEntries);
 
-    // SoA state metadata. NTE (slot 0) keeps kNoAddr / ~0u identity.
-    stateStart[0] = kNoAddr;
-    stateMeta[0] = StateMeta{~0u, ~0u};
-    for (StateId id = 1; id < nStates; ++id) {
+    if (prefix != nullptr) {
+        // Reused prefix: verbatim copies out of the previous arena
+        // (owned or mapped; the typed pointers read the same).
+        std::memcpy(succOffset, prefix->succOffsetP,
+                    (size_t(prevN) + 1) * sizeof(uint32_t));
+        std::memcpy(succsOut, prefix->succsP,
+                    size_t(prefix->nSuccs_) * sizeof(Succ));
+        std::memcpy(stateStart, prefix->stateStartP,
+                    size_t(prevN) * sizeof(Addr));
+        std::memcpy(stateMeta, prefix->stateMetaP,
+                    size_t(prevN) * sizeof(StateMeta));
+    } else {
+        // NTE (slot 0): kNoAddr / ~0u identity and an empty successor
+        // run (its out-transitions are the entry index below).
+        stateStart[0] = kNoAddr;
+        stateMeta[0] = StateMeta{~0u, ~0u};
+        succOffset[0] = 0;
+        succOffset[1] = 0;
+    }
+
+    // The states past the prefix: SoA metadata first, since a CSR
+    // record inlines its target's start address as the label.
+    for (StateId id = prevN; id < nStates; ++id) {
         const TeaState &st = tea.state(id);
         stateStart[id] = st.start;
         stateMeta[id] = StateMeta{st.trace, st.tbb};
     }
-
-    // CSR successor arrays, labels inlined. NTE's run is empty (its
-    // out-transitions are the entry index below).
-    succOffset[0] = 0;
-    succOffset[1] = 0;
-    for (StateId id = 1; id < nStates; ++id)
+    for (StateId id = prevN; id < nStates; ++id) {
+        const TeaState &st = tea.state(id);
         succOffset[id + 1] =
-            succOffset[id] +
-            static_cast<uint32_t>(tea.state(id).succs.size());
-    for (StateId id = 1; id < nStates; ++id) {
+            succOffset[id] + static_cast<uint32_t>(st.succs.size());
         uint32_t at = succOffset[id];
-        for (StateId t : tea.state(id).succs)
+        for (StateId t : st.succs)
             succsOut[at++] = Succ{stateStart[t], t};
     }
 
-    // Entry index: flat sorted array + open-addressed hash.
+    // Entry index, always rebuilt in full: flat sorted array + open-
+    // addressed hash. O(traces), and Tea::entries() iterates sorted by
+    // address, so the hash fill order (hence the bytes) is canonical.
     for (uint32_t i = 0; i < cap; ++i)
         hashSlots[i] = HashSlot{kNoAddr, Tea::kNteState};
     uint32_t at = 0;
@@ -97,8 +136,10 @@ CompiledTea::CompiledTea(const Tea &tea)
         hashSlots[slot] = HashSlot{addr, id};
     }
 
-    std::memcpy(base + lay.offTea, blob.data(), blob.size());
+    if (!blob.empty())
+        std::memcpy(base + lay.offTea, blob.data(), blob.size());
 
+    arena = std::move(buf);
     payloadP = base;
     payloadLen = lay.payloadBytes;
     succOffsetP = succOffset;
@@ -114,7 +155,26 @@ std::shared_ptr<const CompiledTea>
 CompiledTea::compile(std::shared_ptr<const Tea> tea)
 {
     TEA_ASSERT(tea != nullptr, "compiling a null automaton snapshot");
-    auto compiled = std::make_shared<CompiledTea>(*tea);
+    return CompiledTea(*tea).withSource(std::move(tea));
+}
+
+std::shared_ptr<const CompiledTea>
+CompiledTea::extend(const Tea &tea, const CompiledTea &prev)
+{
+    recompileCounter.fetch_add(1, std::memory_order_relaxed);
+    std::shared_ptr<CompiledTea> compiled(new CompiledTea());
+    compiled->build(tea, &prev, /*embedSource=*/false);
+    return compiled;
+}
+
+std::shared_ptr<const CompiledTea>
+CompiledTea::withSource(std::shared_ptr<const Tea> tea) const
+{
+    TEA_ASSERT(tea != nullptr && tea->numStates() == nStates,
+               "source automaton does not match the compiled image");
+    // A shallow copy: the arena is shared, so its typed pointers stay
+    // valid and nothing is rebuilt.
+    auto compiled = std::make_shared<CompiledTea>(*this);
     compiled->source = std::move(tea);
     return compiled;
 }
@@ -122,138 +182,16 @@ CompiledTea::compile(std::shared_ptr<const Tea> tea)
 std::shared_ptr<const CompiledTea>
 CompiledTea::recompile(std::shared_ptr<const Tea> tea,
                        const std::shared_ptr<const CompiledTea> &prev,
-                       bool appendOnly, double maxChurn,
-                       RecompileInfo *info)
+                       bool appendOnly)
 {
     TEA_ASSERT(tea != nullptr, "recompiling a null automaton snapshot");
-    RecompileInfo local;
-    RecompileInfo &out = info != nullptr ? *info : local;
-    out = RecompileInfo{};
-
-    uint32_t newN = static_cast<uint32_t>(tea->numStates());
-    const char *fallback = nullptr;
-    if (prev == nullptr)
-        fallback = "no previous snapshot";
-    else if (!appendOnly)
-        fallback = "non-append growth";
-    else if (newN < prev->nStates)
-        fallback = "automaton shrank";
-    else if (double(newN - prev->nStates) > maxChurn * double(newN))
-        fallback = "churn over threshold";
-    if (fallback != nullptr) {
-        out.fallbackReason = fallback;
+    if (prev == nullptr || !appendOnly || tea->numStates() < prev->nStates)
         return compile(std::move(tea));
-    }
-
-    uint32_t prevN = prev->nStates;
-    if (newN == prevN) {
-        // Append-only with no new states means no new trace: identical
-        // automaton, nothing to build.
-        out.incremental = true;
-        out.unchanged = true;
-        out.reusedStates = prevN;
+    // Append-only with no new states means no new trace: identical
+    // automaton, nothing to build.
+    if (tea->numStates() == prev->nStates)
         return prev;
-    }
-
-    // Spot-check the append-only claim against the last reused state;
-    // the full differential lives in tests/test_rec.cc.
-    if (prevN > 1) {
-        const TeaState &last = tea->state(prevN - 1);
-        TEA_ASSERT(prev->stateStartP[prevN - 1] == last.start &&
-                       prev->stateMetaP[prevN - 1].trace == last.trace,
-                   "recompile: previous snapshot is not a prefix of the "
-                   "grown automaton");
-    }
-
-    recompileCounter.fetch_add(1, std::memory_order_relaxed);
-
-    uint32_t nEntries = static_cast<uint32_t>(tea->entries().size());
-    // The reused prefix pins its transition count; only appended states
-    // contribute new CSR records.
-    uint64_t succTotal = prev->nSuccs_;
-    for (StateId id = prevN; id < newN; ++id)
-        succTotal += tea->state(id).succs.size();
-    TEA_ASSERT(succTotal <= 0xffffffffull, "transition count overflow");
-    uint32_t nSuccs = static_cast<uint32_t>(succTotal);
-    uint32_t cap = hashCapacity(nEntries);
-
-    // Blobless arena (teaBytes = 0): the source .tea copy is the one
-    // section whose cost scales with the whole automaton, so deltas
-    // skip it and co-own the source instead; serialize() regenerates
-    // the canonical blob-bearing image on persist.
-    TeacLayout lay = TeacLayout::compute(newN, nSuccs, nEntries, cap, 0);
-    std::shared_ptr<CompiledTea> compiled(new CompiledTea());
-    CompiledTea &c = *compiled;
-    c.nStates = newN;
-    c.nSuccs_ = nSuccs;
-    c.nEntries_ = nEntries;
-    c.hashMask = cap - 1;
-    c.teaBlobLen_ = 0;
-    c.arena.assign(lay.payloadBytes, 0);
-    uint8_t *base = c.arena.data();
-    auto *succOffset = reinterpret_cast<uint32_t *>(base + lay.offSuccOffset);
-    auto *succsOut = reinterpret_cast<Succ *>(base + lay.offSuccs);
-    auto *stateStart = reinterpret_cast<Addr *>(base + lay.offStateStart);
-    auto *stateMeta = reinterpret_cast<StateMeta *>(base + lay.offStateMeta);
-    auto *hashSlots = reinterpret_cast<HashSlot *>(base + lay.offHashSlots);
-    auto *entriesOut = reinterpret_cast<Entry *>(base + lay.offEntries);
-
-    // Reused prefix: verbatim copies out of the previous arena (owned
-    // or mapped — the typed pointers read the same either way).
-    std::memcpy(succOffset, prev->succOffsetP,
-                (size_t(prevN) + 1) * sizeof(uint32_t));
-    std::memcpy(succsOut, prev->succsP, size_t(prev->nSuccs_) * sizeof(Succ));
-    std::memcpy(stateStart, prev->stateStartP, size_t(prevN) * sizeof(Addr));
-    std::memcpy(stateMeta, prev->stateMetaP,
-                size_t(prevN) * sizeof(StateMeta));
-
-    // Appended states. Starts and identities first: appended traces'
-    // edges are intra-trace, so a new state's succ targets (and their
-    // labels) land inside the appended range being filled here.
-    for (StateId id = prevN; id < newN; ++id) {
-        const TeaState &st = tea->state(id);
-        stateStart[id] = st.start;
-        stateMeta[id] = StateMeta{st.trace, st.tbb};
-    }
-    for (StateId id = prevN; id < newN; ++id) {
-        const TeaState &st = tea->state(id);
-        succOffset[id + 1] =
-            succOffset[id] + static_cast<uint32_t>(st.succs.size());
-        uint32_t at = succOffset[id];
-        for (StateId t : st.succs)
-            succsOut[at++] = Succ{stateStart[t], t};
-    }
-
-    // Entry index: rebuilt in full. O(traces) — cheap next to the state
-    // sections — and Tea::entries() iterates sorted by address, so the
-    // hash fill order (hence the bytes) matches a full compile exactly.
-    for (uint32_t i = 0; i < cap; ++i)
-        hashSlots[i] = HashSlot{kNoAddr, Tea::kNteState};
-    uint32_t at = 0;
-    for (const auto &[addr, id] : tea->entries()) {
-        TEA_ASSERT(addr != kNoAddr, "entry at the invalid address");
-        entriesOut[at++] = Entry{addr, id};
-        uint32_t slot = hashOf(addr) & c.hashMask;
-        while (hashSlots[slot].addr != kNoAddr)
-            slot = (slot + 1) & c.hashMask;
-        hashSlots[slot] = HashSlot{addr, id};
-    }
-
-    c.payloadP = base;
-    c.payloadLen = lay.payloadBytes;
-    c.succOffsetP = succOffset;
-    c.succsP = succsOut;
-    c.stateStartP = stateStart;
-    c.stateMetaP = stateMeta;
-    c.hashSlotsP = hashSlots;
-    c.entriesP = entriesOut;
-    c.teaBlobP = base + lay.offTea;
-    c.source = std::move(tea);
-
-    out.incremental = true;
-    out.reusedStates = prevN;
-    out.addedStates = newN - prevN;
-    return compiled;
+    return extend(*tea, *prev)->withSource(std::move(tea));
 }
 
 std::shared_ptr<const CompiledTea>

@@ -51,6 +51,14 @@
  * against the same `shared_ptr<const CompiledTea>` lock-free. A
  * mapped CompiledTea co-owns its MappedFile, so LRU eviction in the
  * store can never unmap an image a replay still walks.
+ *
+ * One section builder fills every image. A full compile builds all
+ * states past NTE; extend() copies a previous image's sections and
+ * builds only the states appended since, which is how the online
+ * recorder (tea/recorder.hh) grows its image trace by trace. An owned
+ * arena is shared between copies, so withSource() can attach an
+ * immutable source automaton to an existing image without rebuilding
+ * it: the recording service publishes the recorder's image that way.
  */
 
 #ifndef TEA_TEA_COMPILED_HH
@@ -110,50 +118,50 @@ class CompiledTea
     static std::shared_ptr<const CompiledTea>
     compile(std::shared_ptr<const Tea> tea);
 
-    /** Outcome report of recompile(): which path ran and how much of
-     *  the previous arena it reused. */
-    struct RecompileInfo
-    {
-        bool incremental = false; ///< delta path (or unchanged reuse)
-        bool unchanged = false;   ///< `prev` was returned as-is
-        uint32_t reusedStates = 0;
-        uint32_t addedStates = 0;
-        const char *fallbackReason = nullptr; ///< set when full compile ran
-    };
+    /**
+     * Delta compile: an image of `tea` that copies `prev`'s sections
+     * and builds only the states past `prev`'s, so its cost tracks the
+     * *growth*, not the automaton size. `prev` must be an image of a
+     * prefix of `tea`: Tea::appendTrace() keeps every existing state
+     * id and CSR run, so a trace appended since `prev` appends states.
+     * The entry hash and sorted entry array are rebuilt in full from
+     * Tea::entries(), O(traces) not O(states), and the sorted
+     * iteration keeps their bytes canonical.
+     *
+     * The image is *blobless* (no embedded `.tea` copy) and has no
+     * source: it serves the compiled kernel, and withSource() makes it
+     * publishable. Bumps recompileCount(), never compileCount().
+     */
+    static std::shared_ptr<const CompiledTea>
+    extend(const Tea &tea, const CompiledTea &prev);
 
     /**
-     * Incremental recompile for online recording: a snapshot of `tea`
-     * that reuses the unchanged prefix of `prev`'s arena instead of
-     * rebuilding every section, so recompile cost tracks the *growth*,
-     * not the automaton size.
+     * This image with `tea` attached as its immutable source: a new
+     * handle over the same arena, so nothing is copied or rebuilt and
+     * neither compile counter moves. `tea` must be the automaton the
+     * image was built from. A blobless image needs a source before it
+     * can be serialized or rehydrated.
+     */
+    std::shared_ptr<const CompiledTea>
+    withSource(std::shared_ptr<const Tea> tea) const;
+
+    /**
+     * Incremental recompile of a snapshot: extend() `prev` to `tea`
+     * and attach `tea` as the source. Falls back to compile() when
+     * `prev` is null, growth was not append-only (an ExtendTrace
+     * renumbers states), or the automaton shrank; the two counters
+     * tell which ran. When nothing grew at all it returns `prev`
+     * itself.
      *
-     * Append-only growth (the recorder's NewTrace case) keeps state ids
-     * and the per-state CSR prefix byte-stable: buildTea() assigns ids
-     * in trace order and trace edges never cross traces, so appending a
-     * trace appends states. The delta path memcpys the first prevN
-     * states' offset/succ/start/meta records and builds only the
-     * appended ones. The entry hash and sorted entry array are rebuilt
-     * in full from Tea::entries() — O(traces), not O(states), and the
-     * sorted iteration keeps their bytes canonical.
-     *
-     * Falls back to a full compile (reporting why through `info`) when
-     * `prev` is null, growth was not append-only (ExtendTrace replaces
-     * a trace and reshuffles ids), the automaton shrank, or the
-     * appended state fraction exceeds `maxChurn`. When nothing grew at
-     * all it returns `prev` itself.
-     *
-     * The delta snapshot is *blobless* — no embedded `.tea` copy — and
-     * co-owns `tea` instead; serialize() regenerates the canonical full
-     * image from the source, so persisted `.teac` bytes stay
-     * bit-identical to an offline compile. Write-through pays that
-     * full-compile cost only when a snapshot is persisted, not per
-     * delta.
+     * serialize() of the blobless delta embeds the source's
+     * serialized bytes after the copied sections, so persisted `.teac`
+     * bytes are bit-identical to an offline compile without a second
+     * compile.
      */
     static std::shared_ptr<const CompiledTea>
     recompile(std::shared_ptr<const Tea> tea,
               const std::shared_ptr<const CompiledTea> &prev,
-              bool appendOnly, double maxChurn = 0.5,
-              RecompileInfo *info = nullptr);
+              bool appendOnly);
 
     /**
      * Zero-copy load: validate `file` as a `.teac` image (tea/teac.hh)
@@ -284,8 +292,8 @@ class CompiledTea
     /** True when this snapshot serves replay out of a mapped file. */
     bool isMapped() const { return mapped != nullptr; }
 
-    /** The co-owned source automaton; null when built by constructor
-     *  or loaded from a mapping. */
+    /** The co-owned source automaton; set by compile(), recompile()
+     *  and withSource(), null otherwise. */
     const std::shared_ptr<const Tea> &sourceTea() const { return source; }
 
     /**
@@ -296,8 +304,8 @@ class CompiledTea
      */
     static uint64_t compileCount();
 
-    /** Total delta recompiles since process start. A delta bumps this,
-     *  never compileCount() — the store's compile-once and
+    /** Total delta compiles (extend()) since process start. A delta
+     *  bumps this, never compileCount() — the store's compile-once and
      *  mmap-never-compiles contracts stay assertable. */
     static uint64_t recompileCount();
 
@@ -318,6 +326,15 @@ class CompiledTea
     /** Point the typed section pointers into `payload`. */
     void adoptView(const CompiledTeaView &view);
 
+    /**
+     * The one section builder: copy the states of `prefix` (NTE alone
+     * when null, which makes this a full compile), build the rest from
+     * `tea`, rebuild the entry index, and embed the serialized source
+     * when `embedSource`.
+     */
+    void build(const Tea &tea, const CompiledTea *prefix,
+               bool embedSource);
+
     uint32_t nStates = 0;
     uint32_t nSuccs_ = 0;
     uint32_t nEntries_ = 0;
@@ -337,9 +354,10 @@ class CompiledTea
     const uint8_t *payloadP = nullptr; ///< the whole arena
     uint64_t payloadLen = 0;
 
-    std::vector<uint8_t> arena; ///< owned payload (RAM compilation)
+    /** Owned payload (RAM compilation), shared by withSource() copies. */
+    std::shared_ptr<const std::vector<uint8_t>> arena;
     std::shared_ptr<const MappedFile> mapped; ///< mapped payload
-    std::shared_ptr<const Tea> source; ///< set by compile() only
+    std::shared_ptr<const Tea> source; ///< the immutable source, if any
 };
 
 static_assert(sizeof(CompiledTea::Succ) == 8 &&

@@ -4,14 +4,14 @@
 
 namespace tea {
 
-TeaRecorder::TeaRecorder(std::unique_ptr<TraceSelector> sel,
-                         LookupConfig config)
-    : selector(std::move(sel)), cfg(config)
+TeaRecorder::TeaRecorder(std::unique_ptr<TraceSelector> sel)
+    : selector(std::move(sel))
 {
     TEA_ASSERT(selector != nullptr, "recorder needs a selector");
     // "Initial": InitializeTEA — an automaton with only the NTE state.
-    automaton = buildTea(traceSet);
-    replayer = std::make_unique<TeaReplayer>(automaton, cfg);
+    compiled = std::make_shared<const CompiledTea>(automaton);
+    replayer = std::make_unique<TeaReplayer>(automaton, LookupConfig{},
+                                             compiled);
 }
 
 TeaRecorder::~TeaRecorder() = default;
@@ -30,19 +30,28 @@ TeaRecorder::install(RecordingResult result)
     if (result.kind == RecordingResult::Kind::Aborted)
         return;
 
-    if (result.kind == RecordingResult::Kind::NewTrace)
-        traceSet.add(std::move(result.trace));
-    else
+    if (result.kind == RecordingResult::Kind::NewTrace) {
+        // Existing state ids stay put: grow the automaton and its image
+        // by this trace alone.
+        const Trace &t = traceSet.at(traceSet.add(std::move(result.trace)));
+        automaton.appendTrace(t);
+        automaton.validateTrace(t);
+        compiled = CompiledTea::extend(automaton, *compiled);
+    } else {
+        // An extension renumbers every later state: rebuild both.
         traceSet.replace(result.extends, std::move(result.trace));
+        automaton = buildTea(traceSet);
+        compiled = std::make_shared<const CompiledTea>(automaton);
+    }
     ++installCount;
 
-    // Rebuild the automaton and re-seat the replayer. State ids change,
-    // so reposition from the address about to execute: entering a trace
-    // is only possible at its entry (NTE transitions), so entryAt() is
-    // exactly the automaton's answer.
+    // Re-seat the replayer with fresh local caches, and reposition from
+    // the address about to execute: entering a trace is only possible
+    // at its entry (NTE transitions), so entryAt() is exactly the
+    // automaton's answer.
     accumulated += replayer->stats();
-    automaton = buildTea(traceSet);
-    replayer = std::make_unique<TeaReplayer>(automaton, cfg);
+    replayer = std::make_unique<TeaReplayer>(automaton, LookupConfig{},
+                                             compiled);
     if (lastToStart != kNoAddr)
         replayer->setCurrentState(automaton.entryAt(lastToStart));
 }

@@ -14,6 +14,15 @@
  * One deliberate refinement over the paper's pseudo-code: ChangeState
  * also runs while Creating, so the automaton position stays valid if a
  * recording aborts into already-hot code.
+ *
+ * The recorder is the one place the automaton grows and compiles. A new
+ * trace is appended in place (Tea::appendTrace(), Algorithm 1 for that
+ * trace) and the compiled image is extended from its previous self
+ * (CompiledTea::extend()), so an install costs the new trace, not the
+ * automaton. An extended trace renumbers every later state, so that
+ * install rebuilds both from the trace set. Either way the embedded
+ * replayer restarts with fresh local caches, repositioned at the entry
+ * of the block about to execute.
  */
 
 #ifndef TEA_TEA_RECORDER_HH
@@ -33,12 +42,8 @@ namespace tea {
 class TeaRecorder
 {
   public:
-    /**
-     * @param selector the trace-selection policy (owned)
-     * @param config   lookup configuration for the embedded replayer
-     */
-    TeaRecorder(std::unique_ptr<TraceSelector> selector,
-                LookupConfig config = {});
+    /** @param selector the trace-selection policy (owned) */
+    explicit TeaRecorder(std::unique_ptr<TraceSelector> selector);
 
     ~TeaRecorder();
 
@@ -51,12 +56,19 @@ class TeaRecorder
     /** The automaton recorded so far. */
     const Tea &tea() const { return automaton; }
 
+    /**
+     * The compiled image of tea() the embedded replayer walks. It has
+     * no source automaton attached (CompiledTea::withSource() makes it
+     * publishable) and is replaced, never mutated, by each install.
+     */
+    const std::shared_ptr<const CompiledTea> &image() const { return compiled; }
+
     /** Whether the state machine is currently creating a trace. */
     bool creating() const { return recState == RecState::Creating; }
 
     /**
-     * Counters accumulated over the whole run, including across TEA
-     * rebuilds (coverage here is the Table 3 "Recording" coverage).
+     * Counters accumulated over the whole run, including across
+     * installs (coverage here is the Table 3 "Recording" coverage).
      */
     ReplayStats stats() const;
 
@@ -69,12 +81,12 @@ class TeaRecorder
     void install(RecordingResult result);
 
     std::unique_ptr<TraceSelector> selector;
-    LookupConfig cfg;
     TraceSet traceSet;
     Tea automaton;
+    std::shared_ptr<const CompiledTea> compiled;
     std::unique_ptr<TeaReplayer> replayer;
     RecState recState = RecState::Executing;
-    ReplayStats accumulated; ///< stats from replayers retired by rebuilds
+    ReplayStats accumulated; ///< stats from replayers retired by installs
     Addr lastToStart = kNoAddr;
     uint64_t installCount = 0;
 };

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <unistd.h>
 
+#include "tea/serialize.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
 
@@ -325,12 +326,16 @@ CompiledTeaView::parse(const uint8_t *data, size_t len, bool verifyPayload)
 std::vector<uint8_t>
 CompiledTea::serialize() const
 {
-    // A blobless delta snapshot (CompiledTea::recompile) has no
-    // embedded source copy; its persistent form is the canonical full
-    // compile of the co-owned source, so `.teac` bytes on disk are
-    // bit-identical to an offline compile of the same automaton.
+    // A blobless delta snapshot (CompiledTea::extend) carries its
+    // source live. Its persistent form embeds the source's bytes after
+    // the same sections, so `.teac` bytes on disk are bit-identical to
+    // an offline compile of the same automaton, without compiling.
+    std::vector<uint8_t> blob;
     if (teaBlobLen_ == 0 && sourceTea() != nullptr)
-        return CompiledTea(*sourceTea()).serialize();
+        blob = saveTea(*sourceTea());
+    const uint8_t *tea = blob.empty() ? teaBlobP : blob.data();
+    uint32_t teaBytes =
+        blob.empty() ? teaBlobLen_ : static_cast<uint32_t>(blob.size());
 
     TeacHeader h{};
     h.magic = kTeacMagic;
@@ -340,12 +345,14 @@ CompiledTea::serialize() const
     h.nSuccs = nSuccs_;
     h.nEntries = nEntries_;
     h.hashCap = hashMask + 1;
-    h.teaBytes = teaBlobLen_;
-    h.payloadBytes = payloadLen;
+    h.teaBytes = teaBytes;
     TeacLayout lay = TeacLayout::compute(nStates, nSuccs_, nEntries_,
-                                         hashMask + 1, teaBlobLen_);
-    TEA_ASSERT(lay.payloadBytes == payloadLen,
+                                         hashMask + 1, teaBytes);
+    TEA_ASSERT(TeacLayout::compute(nStates, nSuccs_, nEntries_,
+                                   hashMask + 1, teaBlobLen_)
+                       .payloadBytes == payloadLen,
                "compiled arena disagrees with the canonical layout");
+    h.payloadBytes = lay.payloadBytes;
     h.offSuccOffset = lay.offSuccOffset;
     h.offSuccs = lay.offSuccs;
     h.offStateStart = lay.offStateStart;
@@ -353,15 +360,18 @@ CompiledTea::serialize() const
     h.offHashSlots = lay.offHashSlots;
     h.offEntries = lay.offEntries;
     h.offTea = lay.offTea;
-    h.sourceHash = crc32(teaBlobP, teaBlobLen_);
-    h.payloadCrc = crc32(payloadP, payloadLen);
+
+    std::vector<uint8_t> out(sizeof(TeacHeader) + lay.payloadBytes, 0);
+    uint8_t *payload = out.data() + sizeof(h);
+    std::memcpy(payload, payloadP, lay.offTea);
+    if (teaBytes != 0)
+        std::memcpy(payload + lay.offTea, tea, teaBytes);
+    h.sourceHash = crc32(tea, teaBytes);
+    h.payloadCrc = crc32(payload, lay.payloadBytes);
     h.reserved = 0;
     h.headerCrc = 0;
     h.headerCrc = crc32(&h, sizeof(h));
-
-    std::vector<uint8_t> out(sizeof(TeacHeader) + payloadLen);
     std::memcpy(out.data(), &h, sizeof(h));
-    std::memcpy(out.data() + sizeof(h), payloadP, payloadLen);
     return out;
 }
 

@@ -14,8 +14,9 @@
  *    compile, over randomized growth schedules and chained deltas, and
  *    falls back to a full compile exactly when it must.
  * 3. Hot swap: registry replace() is atomic — a replay that pinned a
- *    snapshot keeps it while the name is swapped under it, raced under
- *    TSan in CI.
+ *    snapshot keeps it while a recording swaps the name under it,
+ *    raced under TSan in CI. A publish compiles nothing: it hands out
+ *    the recorder's own image.
  * 4. Abandonment: a mid-RECORD disconnect leaves the registry
  *    consistent (the last published snapshot, or nothing) and the name
  *    immediately reusable.
@@ -273,14 +274,14 @@ TEST(Recompile, DeltaIsBitIdenticalToFullCompile)
     auto grownTea = std::make_shared<const Tea>(makeSyntheticTea(10));
     auto prev = CompiledTea::compile(prevTea);
 
-    CompiledTea::RecompileInfo info;
+    uint64_t compiles = CompiledTea::compileCount();
+    uint64_t deltas = CompiledTea::recompileCount();
     auto delta = CompiledTea::recompile(grownTea, prev,
-                                        /*appendOnly=*/true, 0.5, &info);
-    EXPECT_TRUE(info.incremental);
-    EXPECT_FALSE(info.unchanged);
-    EXPECT_EQ(info.reusedStates, prev->numStates());
-    EXPECT_EQ(info.addedStates,
-              grownTea->numStates() - prevTea->numStates());
+                                        /*appendOnly=*/true);
+    EXPECT_EQ(CompiledTea::recompileCount(), deltas + 1);
+    EXPECT_EQ(CompiledTea::compileCount(), compiles);
+    EXPECT_NE(delta.get(), prev.get());
+    EXPECT_EQ(delta->sourceTea(), grownTea);
 
     auto full = CompiledTea::compile(grownTea);
     EXPECT_EQ(delta->serialize(), full->serialize());
@@ -291,10 +292,12 @@ TEST(Recompile, UnchangedAutomatonReturnsThePreviousImage)
 {
     auto tea = std::make_shared<const Tea>(makeSyntheticTea(5));
     auto prev = CompiledTea::compile(tea);
-    CompiledTea::RecompileInfo info;
-    auto same = CompiledTea::recompile(tea, prev, true, 0.5, &info);
-    EXPECT_TRUE(info.unchanged);
+    uint64_t builds =
+        CompiledTea::compileCount() + CompiledTea::recompileCount();
+    auto same = CompiledTea::recompile(tea, prev, true);
     EXPECT_EQ(same.get(), prev.get());
+    EXPECT_EQ(CompiledTea::compileCount() + CompiledTea::recompileCount(),
+              builds);
 }
 
 TEST(Recompile, FallsBackExactlyWhenItMust)
@@ -302,22 +305,31 @@ TEST(Recompile, FallsBackExactlyWhenItMust)
     auto small = std::make_shared<const Tea>(makeSyntheticTea(4));
     auto big = std::make_shared<const Tea>(makeSyntheticTea(16));
     auto prev = CompiledTea::compile(small);
+    auto grownFirst = CompiledTea::compile(big);
 
-    CompiledTea::RecompileInfo info;
+    // True when `run` compiled in full, false when it ran a delta.
+    auto fellBack = [](auto run) {
+        uint64_t compiles = CompiledTea::compileCount();
+        uint64_t deltas = CompiledTea::recompileCount();
+        run();
+        EXPECT_NE(CompiledTea::compileCount() - compiles,
+                  CompiledTea::recompileCount() - deltas);
+        return CompiledTea::compileCount() != compiles;
+    };
     // No previous image.
-    auto a = CompiledTea::recompile(big, nullptr, true, 0.5, &info);
-    EXPECT_FALSE(info.incremental);
+    std::shared_ptr<const CompiledTea> a;
+    EXPECT_TRUE(
+        fellBack([&] { a = CompiledTea::recompile(big, nullptr, true); }));
     EXPECT_EQ(a->serialize(), CompiledTea::compile(big)->serialize());
     // Non-append growth (an ExtendTrace reshuffled state ids).
-    CompiledTea::recompile(big, prev, false, 0.5, &info);
-    EXPECT_FALSE(info.incremental);
-    // Churn over threshold: 4 -> 16 traces appends far more than 10%.
-    CompiledTea::recompile(big, prev, true, 0.1, &info);
-    EXPECT_FALSE(info.incremental);
+    EXPECT_TRUE(
+        fellBack([&] { CompiledTea::recompile(big, prev, false); }));
+    // Growth of any size is append-only: 4 -> 16 traces stays a delta.
+    EXPECT_FALSE(
+        fellBack([&] { CompiledTea::recompile(big, prev, true); }));
     // A shrink can never be append-only growth.
-    auto grownFirst = CompiledTea::compile(big);
-    CompiledTea::recompile(small, grownFirst, true, 0.5, &info);
-    EXPECT_FALSE(info.incremental);
+    EXPECT_TRUE(fellBack(
+        [&] { CompiledTea::recompile(small, grownFirst, true); }));
 }
 
 TEST(Recompile, RandomizedChainedGrowthSchedules)
@@ -334,9 +346,7 @@ TEST(Recompile, RandomizedChainedGrowthSchedules)
             traces += 1 + rng.nextBelow(5);
             auto grown =
                 std::make_shared<const Tea>(makeSyntheticTea(traces));
-            CompiledTea::RecompileInfo info;
-            auto next =
-                CompiledTea::recompile(grown, prev, true, 0.9, &info);
+            auto next = CompiledTea::recompile(grown, prev, true);
             ASSERT_EQ(next->serialize(),
                       CompiledTea::compile(grown)->serialize())
                 << "seed " << seed << " step " << step;
@@ -383,6 +393,48 @@ TEST(RecordingSession, OnlineGrowthIsBitIdenticalToOffline)
     AutomatonSnapshot snap = registry.snapshot("gzip");
     ASSERT_TRUE(static_cast<bool>(snap));
     EXPECT_EQ(snap.compiled.get(), session.current().get());
+}
+
+TEST(RecordingSession, PublishCompilesNothing)
+{
+    // The recorder compiles its image once up front and then once per
+    // install (a delta for a new trace, a rebuild for an extension);
+    // the session's publishes only attach a source to that image.
+    std::vector<BlockTransition> stream = workloadTransitions("syn.gcc");
+    for (const char *selector : {"mret", "tt"}) {
+        TeaRecorder offline(makeSelector(selector));
+        for (const BlockTransition &tr : stream)
+            offline.feed(tr);
+        if (std::string(selector) == "tt") // some installs extend a tree
+            EXPECT_GT(offline.installs(), offline.traces().size());
+
+        obs::MetricsRegistry metrics;
+        AutomatonRegistry registry;
+        rec::RecordingService service(registry);
+        service.bindMetrics(metrics);
+        rec::RecordingConfig cfg;
+        cfg.selector = selector;
+        cfg.swapInterval = 100;
+        uint64_t before =
+            CompiledTea::compileCount() + CompiledTea::recompileCount();
+        auto session = service.begin("grow", cfg);
+        session->feedBatch(stream.data(), stream.size());
+        rec::RecordingResultSummary sum = session->finish();
+        uint64_t builds = CompiledTea::compileCount() +
+                          CompiledTea::recompileCount() - before;
+
+        EXPECT_GT(sum.swaps, 2u) << selector;
+        EXPECT_EQ(builds, 1 + offline.installs()) << selector;
+        EXPECT_EQ(metrics.counter("rec.recompiles_full").value() +
+                      metrics.counter("rec.recompiles_incremental").value(),
+                  builds)
+            << selector;
+        EXPECT_EQ(metrics.counter("rec.recompiles_incremental").value(),
+                  offline.traces().size())
+            << selector;
+        EXPECT_EQ(saveTea(session->tea()), saveTea(offline.tea()))
+            << selector;
+    }
 }
 
 TEST(RecordingSession, SwapsPublishGrowthAndDriveMetrics)
@@ -480,8 +532,8 @@ TEST(RecordingSession, AbandonmentReleasesTheNameAndKeepsLastSwap)
 TEST(HotSwap, RacedReplaceNeverInvalidatesAPinnedReplay)
 {
     // Readers pin a snapshot and replay a stream that only touches
-    // trace 0 — present identically in every grown version — while a
-    // writer hot-swaps ever-larger images under the name. Every replay
+    // trace 0's addresses while a recording hot-swaps ever-larger
+    // images under the name. Every replay
     // must complete with the exact same counters, whichever version it
     // pinned. TSan (CI) watches the handoff.
     AutomatonRegistry registry;
@@ -512,32 +564,32 @@ TEST(HotSwap, RacedReplaceNeverInvalidatesAPinnedReplay)
         });
     }
 
-    // Writer: publish growing automata through both the full and the
-    // incremental path, like a live RecordingSession would.
-    auto prevTea = std::make_shared<const Tea>(makeSyntheticTea(2));
-    auto prev = CompiledTea::compile(prevTea);
-    for (int round = 0; round < 60; ++round) {
-        size_t n = 2 + static_cast<size_t>(round % 20);
-        auto grown = std::make_shared<const Tea>(makeSyntheticTea(n + 1));
-        std::shared_ptr<const CompiledTea> next;
-        if (grown->numStates() > prev->numStates())
-            next = CompiledTea::recompile(grown, prev, true, 0.9, nullptr);
-        else
-            next = CompiledTea::compile(grown);
-        registry.replace("hot", next);
-        prev = next;
-        prevTea = grown;
-    }
+    // Writer: a live recording publishing into the same name. Each
+    // publish hands the readers the recorder's own image, which the
+    // recorder then extends from, reading the arena they walk.
+    rec::RecordingConfig cfg;
+    cfg.swapInterval = 64;
+    rec::RecordingSession session("hot", registry, nullptr, cfg);
+    for (size_t t = 0; t < 24; ++t)
+        for (const BlockTransition &tr : syntheticStream(t, 150))
+            session.feed(tr);
+    rec::RecordingResultSummary sum = session.finish();
     // Let the readers race the final image for a moment, then stop.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     stop.store(true);
     for (std::thread &t : readers)
         t.join();
     EXPECT_GT(replaysDone.load(), 0u);
+    EXPECT_EQ(sum.traces, 24u);
+    EXPECT_GE(sum.swaps, 24u);
 
     AutomatonSnapshot fin = registry.snapshot("hot");
     ASSERT_TRUE(static_cast<bool>(fin));
-    EXPECT_EQ(fin.compiled->serialize(), prev->serialize());
+    EXPECT_EQ(fin.compiled.get(), session.current().get());
+    EXPECT_EQ(fin.compiled->serialize(),
+              CompiledTea::compile(
+                  std::make_shared<const Tea>(session.tea()))
+                  ->serialize());
 }
 
 // ------------------------------------------------------------ wire protocol

@@ -2,7 +2,8 @@
  * @file
  * Edge cases of the online recorder (Algorithm 2) and the §4.1
  * cross-policy subtleties: why the pintool instruments *edges* rather
- * than block heads when replaying StarDBT-recorded traces.
+ * than block heads when replaying StarDBT-recorded traces. Also the
+ * recorder's oracle: Algorithm 2 with a full rebuild on every install.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,11 @@
 #include "tea/builder.hh"
 #include "tea/recorder.hh"
 #include "tea/replayer.hh"
+#include "tea/serialize.hh"
 #include "trace/factory.hh"
 #include "vm/block.hh"
 #include "vm/machine.hh"
+#include "workloads/workload.hh"
 
 namespace tea {
 namespace {
@@ -32,6 +35,110 @@ recordRun(const Program &prog, const std::string &selector,
     m.runHooked([&](const EdgeEvent &ev) { tracker.onEdge(ev); },
                 /*split_at_special=*/pin_policy);
     return recorder;
+}
+
+/**
+ * The recorder's oracle: Algorithm 2 the slow way. Every install
+ * rebuilds the whole TEA with buildTea(), starts a fresh replayer, and
+ * repositions it at the entry of the block about to execute.
+ * TeaRecorder grows its automaton and image in place instead, and must
+ * match this in every observable.
+ */
+struct RebuildingRecorder
+{
+    explicit RebuildingRecorder(std::unique_ptr<TraceSelector> sel)
+        : selector(std::move(sel)),
+          replayer(std::make_unique<TeaReplayer>(tea, LookupConfig{}))
+    {
+    }
+
+    void
+    feed(const BlockTransition &tr)
+    {
+        StateId pre = replayer->currentState();
+        SelectorContext ctx{traces, pre != Tea::kNteState, 0, 0, false};
+        if (ctx.inTrace) {
+            const TeaState &s = tea.state(pre);
+            ctx.curTrace = s.trace;
+            ctx.curTbb = s.tbb;
+            ctx.exitsTrace = true; // no TBB starts at kNoAddr
+            for (StateId t : s.succs)
+                if (tea.state(t).start == tr.toStart)
+                    ctx.exitsTrace = false;
+        }
+        replayer->feed(tr);
+        lastToStart = tr.toStart;
+        if (!creating) {
+            ExecutingAction a = selector->onExecuting(tr, ctx);
+            creating = a == ExecutingAction::StartRecording;
+            if (a == ExecutingAction::FinishImmediately)
+                install(selector->finish(traces));
+        } else if (selector->onCreating(tr, ctx) != CreatingAction::Continue) {
+            install(selector->finish(traces));
+            creating = false;
+        }
+    }
+
+    void
+    install(RecordingResult r)
+    {
+        if (r.kind == RecordingResult::Kind::Aborted)
+            return;
+        if (r.kind == RecordingResult::Kind::NewTrace)
+            traces.add(std::move(r.trace));
+        else
+            traces.replace(r.extends, std::move(r.trace));
+        ++installs;
+        retired += replayer->stats();
+        tea = buildTea(traces);
+        replayer = std::make_unique<TeaReplayer>(tea, LookupConfig{});
+        if (lastToStart != kNoAddr)
+            replayer->setCurrentState(tea.entryAt(lastToStart));
+    }
+
+    ReplayStats
+    stats() const
+    {
+        ReplayStats total = retired;
+        total += replayer->stats();
+        return total;
+    }
+
+    std::unique_ptr<TraceSelector> selector;
+    TraceSet traces;
+    Tea tea;
+    std::unique_ptr<TeaReplayer> replayer;
+    ReplayStats retired;
+    Addr lastToStart = kNoAddr;
+    uint64_t installs = 0;
+    bool creating = false;
+};
+
+TEST(RecorderOracle, InPlaceGrowthMatchesFullRebuilds)
+{
+    for (const std::string &name : Workloads::names()) {
+        Program prog = Workloads::build(name, InputSize::Test).program;
+        for (const std::string &sel : selectorNames()) {
+            SCOPED_TRACE(name + " / " + sel);
+            TeaRecorder grown(makeSelector(sel));
+            RebuildingRecorder oracle(makeSelector(sel));
+            Machine m(prog);
+            BlockTracker tracker(
+                prog,
+                [&](const BlockTransition &tr) {
+                    grown.feed(tr);
+                    oracle.feed(tr);
+                },
+                /*rep_per_iteration=*/true, /*collect_blocks=*/false);
+            m.runHooked([&](const EdgeEvent &ev) { tracker.onEdge(ev); },
+                        /*split_at_special=*/true);
+            EXPECT_EQ(saveTea(grown.tea()), saveTea(oracle.tea));
+            EXPECT_EQ(grown.stats(), oracle.stats());
+            EXPECT_EQ(grown.installs(), oracle.installs);
+            EXPECT_EQ(grown.traces().size(), oracle.traces.size());
+            EXPECT_GT(grown.installs(), 0u);
+        }
+    }
 }
 
 /** A loop whose body contains a REP instruction mid-block (§4.1). */
